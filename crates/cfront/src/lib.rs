@@ -22,6 +22,7 @@ pub mod ast;
 pub mod builtins;
 pub mod error;
 pub mod lexer;
+mod name_index;
 pub mod parser;
 pub mod sema;
 pub mod span;

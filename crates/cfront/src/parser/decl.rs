@@ -422,10 +422,8 @@ impl Parser {
 
     fn add_function(&mut self, func: Function, sp: Span) -> Result<()> {
         if let Some(pos) = self
-            .program
-            .functions
-            .iter()
-            .position(|f| f.name == func.name)
+            .function_index
+            .get(&self.program.functions, &func.name, |f| &f.name)
         {
             let existing = &self.program.functions[pos];
             if existing.is_definition() && func.is_definition() {
@@ -439,12 +437,17 @@ impl Parser {
             }
             return Ok(());
         }
+        self.function_index
+            .insert(&func.name, self.program.functions.len());
         self.program.functions.push(func);
         Ok(())
     }
 
     fn add_global(&mut self, g: Global, sp: Span) -> Result<()> {
-        if let Some(pos) = self.program.globals.iter().position(|x| x.name == g.name) {
+        if let Some(pos) = self
+            .global_index
+            .get(&self.program.globals, &g.name, |x| &x.name)
+        {
             let existing = &mut self.program.globals[pos];
             if existing.init.is_some() && g.init.is_some() {
                 return Err(parse_err(
@@ -457,12 +460,18 @@ impl Parser {
             }
             return Ok(());
         }
-        if self.program.functions.iter().any(|f| f.name == g.name) {
+        if self
+            .function_index
+            .get(&self.program.functions, &g.name, |f| &f.name)
+            .is_some()
+        {
             return Err(parse_err(
                 sp,
                 format!("`{}` redeclared as a variable", g.name),
             ));
         }
+        self.global_index
+            .insert(&g.name, self.program.globals.len());
         self.program.globals.push(g);
         Ok(())
     }

@@ -12,6 +12,7 @@ mod stmt;
 use crate::ast::Program;
 use crate::error::{parse_err, FrontendError, Result};
 use crate::lexer::lex;
+use crate::name_index::NameIndex;
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use std::collections::BTreeMap;
@@ -34,6 +35,10 @@ pub(crate) struct Parser {
     pub(crate) program: Program,
     /// Enum constants, usable in constant expressions during parsing.
     pub(crate) enum_consts: BTreeMap<String, i64>,
+    /// Name lookup over `program.functions`.
+    pub(crate) function_index: NameIndex,
+    /// Name lookup over `program.globals`.
+    pub(crate) global_index: NameIndex,
 }
 
 impl Parser {
@@ -43,6 +48,8 @@ impl Parser {
             pos: 0,
             program: Program::new(),
             enum_consts: BTreeMap::new(),
+            function_index: NameIndex::default(),
+            global_index: NameIndex::default(),
         }
     }
 

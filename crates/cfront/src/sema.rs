@@ -13,6 +13,7 @@
 use crate::ast::*;
 use crate::builtins::builtins;
 use crate::error::{sema_err, Result};
+use crate::name_index::NameIndex;
 use crate::span::Span;
 use crate::types::{FuncSig, StructTable, Type};
 use std::collections::BTreeMap;
@@ -24,36 +25,40 @@ use std::collections::BTreeMap;
 /// Returns the first semantic error: undeclared variables, bad
 /// dereferences, unknown struct fields, calls to non-functions, etc.
 pub fn analyze(program: &mut Program) -> Result<()> {
+    let mut names = FileScope::new(program);
     // Register modelled externals that the program does not itself declare.
     for b in builtins() {
-        if program.functions.iter().any(|f| f.name == b.name) {
+        if names.function(program, b.name).is_some() {
             continue;
         }
-        program.functions.push(Function {
-            name: b.name.to_owned(),
-            ret: b.sig.ret.clone(),
-            params: b
-                .sig
-                .params
-                .iter()
-                .map(|t| Param {
-                    name: String::new(),
-                    ty: t.clone(),
-                    span: Span::dummy(),
-                })
-                .collect(),
-            variadic: b.sig.variadic,
-            body: None,
-            locals: Vec::new(),
-            span: Span::dummy(),
-        });
+        names.add_function(
+            program,
+            Function {
+                name: b.name.to_owned(),
+                ret: b.sig.ret.clone(),
+                params: b
+                    .sig
+                    .params
+                    .iter()
+                    .map(|t| Param {
+                        name: String::new(),
+                        ty: t.clone(),
+                        span: Span::dummy(),
+                    })
+                    .collect(),
+                variadic: b.sig.variadic,
+                body: None,
+                locals: Vec::new(),
+                span: Span::dummy(),
+            },
+        );
     }
 
     let n = program.functions.len();
     for idx in 0..n {
         let body = program.functions[idx].body.take();
         let Some(mut body) = body else { continue };
-        let mut ctx = FnCtx::new(program, idx);
+        let mut ctx = FnCtx::new(program, &mut names, idx);
         for stmt in &mut body {
             ctx.stmt(stmt)?;
         }
@@ -70,7 +75,10 @@ pub fn analyze(program: &mut Program) -> Result<()> {
         let init = program.globals[idx].init.take();
         let Some(mut init) = init else { continue };
         {
-            let mut ctx = GlobalInitCtx { program };
+            let mut ctx = GlobalInitCtx {
+                program,
+                names: &mut names,
+            };
             ctx.init(&mut init)?;
         }
         program.globals[idx].init = Some(init);
@@ -78,9 +86,42 @@ pub fn analyze(program: &mut Program) -> Result<()> {
     Ok(())
 }
 
+/// File-scope name lookup, kept in step with every function sema
+/// appends to the program.
+struct FileScope {
+    globals: NameIndex,
+    functions: NameIndex,
+}
+
+impl FileScope {
+    fn new(program: &Program) -> Self {
+        FileScope {
+            globals: NameIndex::build(&program.globals, |g| &g.name),
+            functions: NameIndex::build(&program.functions, |f| &f.name),
+        }
+    }
+
+    fn global(&self, program: &Program, name: &str) -> Option<GlobalId> {
+        let pos = self.globals.get(&program.globals, name, |g| &g.name)?;
+        Some(GlobalId(pos as u32))
+    }
+
+    fn function(&self, program: &Program, name: &str) -> Option<FuncId> {
+        let pos = self.functions.get(&program.functions, name, |f| &f.name)?;
+        Some(FuncId(pos as u32))
+    }
+
+    /// Appends `func` to the program and indexes it.
+    fn add_function(&mut self, program: &mut Program, func: Function) {
+        self.functions.insert(&func.name, program.functions.len());
+        program.functions.push(func);
+    }
+}
+
 /// Typing context for global initializers (no locals in scope).
 struct GlobalInitCtx<'a> {
     program: &'a mut Program,
+    names: &'a mut FileScope,
 }
 
 impl GlobalInitCtx<'_> {
@@ -89,7 +130,7 @@ impl GlobalInitCtx<'_> {
             Init::Expr(e) => {
                 // Reuse FnCtx machinery with an empty local scope by
                 // borrowing the program for a synthetic context.
-                let mut ctx = FnCtx::global_scope(self.program);
+                let mut ctx = FnCtx::global_scope(self.program, self.names);
                 ctx.expr(e)?;
                 Ok(())
             }
@@ -105,6 +146,7 @@ impl GlobalInitCtx<'_> {
 
 struct FnCtx<'a> {
     program: &'a mut Program,
+    names: &'a mut FileScope,
     /// Index of the function being analyzed (usize::MAX at global scope).
     func_idx: usize,
     /// Flattened local list being built.
@@ -116,7 +158,7 @@ struct FnCtx<'a> {
 }
 
 impl<'a> FnCtx<'a> {
-    fn new(program: &'a mut Program, func_idx: usize) -> Self {
+    fn new(program: &'a mut Program, names: &'a mut FileScope, func_idx: usize) -> Self {
         let mut scopes = vec![BTreeMap::new()];
         let param_count = program.functions[func_idx].params.len();
         for i in 0..param_count {
@@ -125,6 +167,7 @@ impl<'a> FnCtx<'a> {
         }
         FnCtx {
             program,
+            names,
             func_idx,
             locals: Vec::new(),
             scopes,
@@ -132,9 +175,10 @@ impl<'a> FnCtx<'a> {
         }
     }
 
-    fn global_scope(program: &'a mut Program) -> Self {
+    fn global_scope(program: &'a mut Program, names: &'a mut FileScope) -> Self {
         FnCtx {
             program,
+            names,
             func_idx: usize::MAX,
             locals: Vec::new(),
             scopes: vec![BTreeMap::new()],
@@ -152,10 +196,10 @@ impl<'a> FnCtx<'a> {
                 return Some(*r);
             }
         }
-        if let Some((id, _)) = self.program.global(name) {
+        if let Some(id) = self.names.global(self.program, name) {
             return Some(Resolution::Global(id));
         }
-        if let Some((id, _)) = self.program.function(name) {
+        if let Some(id) = self.names.function(self.program, name) {
             return Some(Resolution::Func(id));
         }
         if let Some(v) = self.program.enum_consts.get(name) {
@@ -391,15 +435,18 @@ impl<'a> FnCtx<'a> {
                 if let ExprKind::Ident(name, _) = &callee.kind {
                     if self.resolve(name).is_none() {
                         let fname = name.clone();
-                        self.program.functions.push(Function {
-                            name: fname,
-                            ret: Type::Int,
-                            params: Vec::new(),
-                            variadic: true,
-                            body: None,
-                            locals: Vec::new(),
-                            span,
-                        });
+                        self.names.add_function(
+                            self.program,
+                            Function {
+                                name: fname,
+                                ret: Type::Int,
+                                params: Vec::new(),
+                                variadic: true,
+                                body: None,
+                                locals: Vec::new(),
+                                span,
+                            },
+                        );
                     }
                 }
                 let ct = self.expr(callee)?.decay();

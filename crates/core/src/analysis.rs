@@ -611,6 +611,9 @@ fn analyze_impl<'p>(
         ir,
         config,
         locs,
+        global_leaves: Vec::new(),
+        map_scratch: Default::default(),
+        unmap_scratch: Default::default(),
         ig,
         per_stmt: BTreeMap::new(),
         warnings: Vec::new(),
@@ -651,9 +654,11 @@ fn analyze_impl<'p>(
     let null = a.locs.null();
     for gi in 0..ir.globals.len() {
         let g = a.locs.global(ir, pta_cfront::ast::GlobalId(gi as u32));
-        for leaf in a.ptr_leaves(g) {
-            init.insert(leaf, null, Def::D);
-        }
+        let leaves = a.ptr_leaves(g);
+        a.global_leaves.extend(leaves);
+    }
+    for &leaf in &a.global_leaves {
+        init.insert(leaf, null, Def::D);
     }
     a.null_init_function_vars(entry, &mut init, true);
 
@@ -707,6 +712,13 @@ pub(crate) struct Analyzer<'p> {
     pub(crate) ir: &'p IrProgram,
     pub(crate) config: AnalysisConfig,
     pub(crate) locs: LocationTable,
+    /// Pointer leaves of every global, in global order: fixed for the
+    /// run, so computed once (with `main`'s input) for every map process.
+    pub(crate) global_leaves: Vec<LocId>,
+    /// Reusable translation tables for map and unmap, cleared after
+    /// each use so a call costs its own entries, not the table size.
+    pub(crate) map_scratch: crate::dense::LocMap,
+    pub(crate) unmap_scratch: crate::dense::LocMap,
     pub(crate) ig: InvocationGraph,
     pub(crate) per_stmt: BTreeMap<StmtId, PtSet>,
     pub(crate) warnings: Vec<String>,

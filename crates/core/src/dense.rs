@@ -88,23 +88,19 @@ const NONE: u32 = u32::MAX;
 
 /// A dense `LocId → LocId` map: a flat vector indexed by the key's id,
 /// with `u32::MAX` as the "absent" sentinel. Grows on demand, so it is
-/// safe to insert ids interned after the map was created.
+/// safe to insert ids interned after the map was created. It remembers
+/// the keys it set, so [`LocMap::clear`] costs the number of entries,
+/// not the table size: one map is reused as scratch across calls.
 #[derive(Debug, Clone, Default)]
 pub struct LocMap {
     slots: Vec<u32>,
+    keys: Vec<u32>,
 }
 
 impl LocMap {
     /// An empty map.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty map pre-sized for ids below `capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        LocMap {
-            slots: vec![NONE; capacity],
-        }
     }
 
     /// The value stored under `key`, if any.
@@ -129,7 +125,17 @@ impl LocMap {
         if i >= self.slots.len() {
             self.slots.resize(i + 1, NONE);
         }
+        if self.slots[i] == NONE {
+            self.keys.push(key.0);
+        }
         self.slots[i] = value.0;
+    }
+
+    /// Removes every entry, touching only the slots that were set.
+    pub fn clear(&mut self) {
+        for k in self.keys.drain(..) {
+            self.slots[k as usize] = NONE;
+        }
     }
 }
 
@@ -200,7 +206,7 @@ mod tests {
 
     #[test]
     fn locmap_insert_get_grow() {
-        let mut m = LocMap::with_capacity(2);
+        let mut m = LocMap::new();
         assert_eq!(m.get(LocId(0)), None);
         m.insert(LocId(0), LocId(7));
         m.insert(LocId(100), LocId(3)); // beyond initial capacity
@@ -210,6 +216,21 @@ mod tests {
         assert!(m.contains_key(LocId(100)));
         m.insert(LocId(0), LocId(9)); // overwrite
         assert_eq!(m.get(LocId(0)), Some(LocId(9)));
+    }
+
+    #[test]
+    fn locmap_clear_resets_and_reuses() {
+        let mut m = LocMap::new();
+        m.insert(LocId(3), LocId(1));
+        m.insert(LocId(3), LocId(2)); // overwrite records the key once
+        m.insert(LocId(40), LocId(5));
+        m.clear();
+        assert_eq!(m.get(LocId(3)), None);
+        assert_eq!(m.get(LocId(40)), None);
+        m.insert(LocId(40), LocId(6));
+        assert_eq!(m.get(LocId(40)), Some(LocId(6)));
+        m.clear();
+        assert!(!m.contains_key(LocId(40)));
     }
 
     #[test]

@@ -522,14 +522,14 @@ impl<'p> Analyzer<'p> {
             let mut env = self.renv(caller);
             env.r_locations(&input, fnptr)
         };
-        let mut fns: Vec<FuncId> = Vec::new();
-        for (t, _) in &targets {
-            if let Some(f) = self.locs.as_function(*t) {
-                if !fns.contains(&f) {
-                    fns.push(f);
-                }
-            }
-        }
+        // First-seen order: it decides the order of the IG children.
+        let mut seen: std::collections::HashSet<FuncId, crate::dense::FxBuildHasher> =
+            Default::default();
+        let fns: Vec<FuncId> = targets
+            .iter()
+            .filter_map(|(t, _)| self.locs.as_function(*t))
+            .filter(|f| seen.insert(*f))
+            .collect();
         if fns.is_empty() {
             self.warn(format!(
                 "indirect call in `{}` has no function targets on some path; treated as a no-op",
@@ -543,15 +543,15 @@ impl<'p> Analyzer<'p> {
         if let Some(ctx) = self.summary.as_mut() {
             ctx.note_resolved(cs, &fns);
         }
+        let l = {
+            let mut env = self.renv(caller);
+            env.l_locations(&input, fnptr)
+        };
         let mut out: Flow = None;
         for f in fns {
             // Make the function pointer definitely point to `f` for this
             // branch of the call.
             let floc = self.locs.function(self.ir, f);
-            let l = {
-                let mut env = self.renv(caller);
-                env.l_locations(&input, fnptr)
-            };
             let input_f = self.assign(input.clone(), &l, &[(floc, Def::D)]);
             let o = if self.ir.function(f).is_defined() {
                 self.call_defined(caller, node, cs, f, lhs, args, input_f)?

@@ -147,6 +147,9 @@ pub struct LocationTable {
     index: FxHashMap<u64, Vec<LocId>>,
     symbolics: Vec<SymbolicData>,
     sym_index: FxHashMap<u64, Vec<u32>>,
+    /// Allocation-site heap locations in id order, appended by
+    /// [`LocationTable::intern`] (so a reload through `intern` rebuilds it).
+    heap_sites: Vec<LocId>,
 }
 
 /// Former name of [`LocationTable`], kept for downstream code.
@@ -204,6 +207,9 @@ impl LocationTable {
             .or_default()
             .push(id);
         self.flags.push(classify(&base, &projs));
+        if matches!(base, LocBase::HeapSite(_)) {
+            self.heap_sites.push(id);
+        }
         self.data.push(LocData {
             base,
             projs,
@@ -213,68 +219,69 @@ impl LocationTable {
         id
     }
 
+    /// Interns a projection-free root, building its type and name only
+    /// on a miss: root constructors run per call and per statement, and
+    /// a hit must not pay for a `String` or a `Type` clone.
+    fn root(&mut self, base: LocBase, make: impl FnOnce() -> (Option<Type>, String)) -> LocId {
+        if let Some(id) = self.lookup(&base, &[]) {
+            return id;
+        }
+        let (ty, name) = make();
+        self.intern(base, vec![], ty, name)
+    }
+
     /// The `heap` location.
     pub fn heap(&mut self) -> LocId {
-        self.intern(LocBase::Heap, vec![], None, "heap".to_owned())
+        self.root(LocBase::Heap, || (None, "heap".to_owned()))
     }
 
     /// An allocation-site heap location (extension).
     pub fn heap_site(&mut self, site: u32) -> LocId {
-        self.intern(
-            LocBase::HeapSite(site),
-            vec![],
-            None,
-            format!("heap@s{site}"),
-        )
+        self.root(LocBase::HeapSite(site), || (None, format!("heap@s{site}")))
+    }
+
+    /// Every allocation-site heap location interned so far, in id order.
+    pub fn heap_sites(&self) -> &[LocId] {
+        &self.heap_sites
     }
 
     /// The `null` pseudo-location.
     pub fn null(&mut self) -> LocId {
-        self.intern(LocBase::Null, vec![], None, "null".to_owned())
+        self.root(LocBase::Null, || (None, "null".to_owned()))
     }
 
     /// The string-literal storage location.
     pub fn strlit(&mut self) -> LocId {
-        self.intern(LocBase::StrLit, vec![], None, "strlit".to_owned())
+        self.root(LocBase::StrLit, || (None, "strlit".to_owned()))
     }
 
     /// The code location of function `f`.
     pub fn function(&mut self, ir: &IrProgram, f: FuncId) -> LocId {
-        let name = ir.function(f).name.clone();
-        self.intern(LocBase::Function(f), vec![], None, name)
+        self.root(LocBase::Function(f), || (None, ir.function(f).name.clone()))
     }
 
     /// The return-value slot of function `f`.
     pub fn ret(&mut self, ir: &IrProgram, f: FuncId) -> LocId {
-        let func = ir.function(f);
-        self.intern(
-            LocBase::Ret(f),
-            vec![],
-            Some(func.ret.clone()),
-            format!("ret@{}", func.name),
-        )
+        self.root(LocBase::Ret(f), || {
+            let func = ir.function(f);
+            (Some(func.ret.clone()), format!("ret@{}", func.name))
+        })
     }
 
     /// The location of a variable root.
     pub fn var(&mut self, ir: &IrProgram, func: FuncId, v: IrVarId) -> LocId {
-        let data = ir.function(func).var(v);
-        self.intern(
-            LocBase::Var(func, v),
-            vec![],
-            Some(data.ty.clone()),
-            data.name.clone(),
-        )
+        self.root(LocBase::Var(func, v), || {
+            let data = ir.function(func).var(v);
+            (Some(data.ty.clone()), data.name.clone())
+        })
     }
 
     /// The location of a global root.
     pub fn global(&mut self, ir: &IrProgram, g: GlobalId) -> LocId {
-        let data = ir.global(g);
-        self.intern(
-            LocBase::Global(g),
-            vec![],
-            Some(data.ty.clone()),
-            data.name.clone(),
-        )
+        self.root(LocBase::Global(g), || {
+            let data = ir.global(g);
+            (Some(data.ty.clone()), data.name.clone())
+        })
     }
 
     /// Projects a location by one step, computing the resulting type and

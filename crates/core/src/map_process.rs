@@ -58,7 +58,7 @@ impl<'p> Analyzer<'p> {
         let mut max_depth_seen: u32 = 0;
         let mut st = MapState {
             sym_reps: MapInfo::new(),
-            tr: LocMap::with_capacity(self.locs.len()),
+            tr: std::mem::take(&mut self.map_scratch),
             raw: Vec::new(),
             visited: LocSet::new(),
             queue: VecDeque::new(),
@@ -105,24 +105,14 @@ impl<'p> Analyzer<'p> {
         }
 
         // --- globals keep their relationships -------------------------
-        for gi in 0..ir.globals.len() {
-            let g = self.locs.global(ir, pta_cfront::ast::GlobalId(gi as u32));
-            for leaf in self.ptr_leaves(g) {
-                st.queue.push_back((leaf, leaf, 1));
-            }
-        }
+        st.queue
+            .extend(self.global_leaves.iter().map(|&leaf| (leaf, leaf, 1)));
         // --- the heap is visible everywhere ---------------------------
         let heap = self.locs.heap();
         st.queue.push_back((heap, heap, 1));
         // (extension) allocation-site heap locations are visible too
-        let sites: Vec<crate::location::LocId> = self
-            .locs
-            .ids()
-            .filter(|l| matches!(self.locs.get(*l).base, LocBase::HeapSite(_)))
-            .collect();
-        for site in sites {
-            st.queue.push_back((site, site, 1));
-        }
+        st.queue
+            .extend(self.locs.heap_sites().iter().map(|&site| (site, site, 1)));
 
         // --- propagate through all pointer levels ----------------------
         let max_depth = self.budget.max_map_depth();
@@ -166,6 +156,8 @@ impl<'p> Analyzer<'p> {
             };
             callee_input.insert_weak(s, t, d);
         }
+        st.tr.clear();
+        self.map_scratch = st.tr;
         let mapping = Mapping {
             callee_input,
             sym_reps: st.sym_reps,
@@ -343,7 +335,8 @@ impl<'p> Analyzer<'p> {
 
 struct MapState {
     sym_reps: MapInfo,
-    /// Caller location → callee-side name (dense translation table).
+    /// Caller location → callee-side name: the analyzer's reusable
+    /// scratch table, handed back cleared when the map succeeds.
     tr: LocMap,
     raw: Vec<(LocId, LocId, Def)>,
     visited: LocSet,

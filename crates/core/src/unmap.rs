@@ -10,7 +10,6 @@
 //! are updated weakly.
 
 use crate::analysis::{Analyzer, EscapeEvent, EscapeVia};
-use crate::dense::LocMap;
 use crate::invocation_graph::MapInfo;
 use crate::location::{LocBase, LocId};
 use crate::points_to_set::{Def, PtSet};
@@ -32,7 +31,13 @@ impl<'p> Analyzer<'p> {
     ) -> PtSet {
         let t0 = self.tracer.now();
         let mut out = input.clone();
-        let rev = self.reverse_map(sym_reps);
+        // Invisible caller location → the symbolic name standing for it.
+        let rev = &mut self.unmap_scratch;
+        for (sym, reps) in sym_reps {
+            for &r in reps {
+                rev.insert(r, *sym);
+            }
+        }
 
         // Strong replacement for uniquely-named non-summary sources;
         // weak (demote) for the rest.
@@ -47,6 +52,7 @@ impl<'p> Analyzer<'p> {
                 out.demote_from(l);
             }
         }
+        rev.clear();
 
         for (s, t, d) in callee_out.iter() {
             let srcs = self.rtr(callee, s, sym_reps);
@@ -140,15 +146,5 @@ impl<'p> Analyzer<'p> {
 
     pub(crate) fn is_callee_local(&self, callee: FuncId, l: LocId) -> bool {
         matches!(self.locs.get(l).base, LocBase::Var(f, _) if f == callee)
-    }
-
-    fn reverse_map(&self, sym_reps: &MapInfo) -> LocMap {
-        let mut rev = LocMap::with_capacity(self.locs.len());
-        for (sym, reps) in sym_reps {
-            for &r in reps {
-                rev.insert(r, *sym);
-            }
-        }
-        rev
     }
 }

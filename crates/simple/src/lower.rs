@@ -38,11 +38,12 @@ pub fn lower(program: &ast::Program) -> Result<IrProgram, FrontendError> {
         })
         .collect();
 
+    let entry = program.main();
     let mut ir = IrProgram {
         structs: program.structs.clone(),
         globals,
         functions: Vec::new(),
-        entry: program.main(),
+        entry,
         n_stmts: 0,
         call_sites: Vec::new(),
         spans: Vec::new(),
@@ -81,7 +82,7 @@ pub fn lower(program: &ast::Program) -> Result<IrProgram, FrontendError> {
                 };
                 let mut out = Vec::new();
                 // Hoist global initializers into the entry function.
-                if Some(func_id) == program.main() {
+                if Some(func_id) == entry {
                     for (gi, g) in program.globals.iter().enumerate() {
                         if let Some(init) = &g.init {
                             let path = VarPath::global(ast::GlobalId(gi as u32));
