@@ -4,11 +4,10 @@
 //! ```text
 //! report [SECTION] [--jobs N] [--timings] [--lint] [--profile]
 //!        [--json PATH] [--serve-json PATH] [--store-dir DIR]
-//!        [--deadline MS] [--budget N] [--prune-liveness]
-//!        [--engine ig|summary] [--summary-json PATH]
+//!        [--deadline MS] [--budget N] [--demand]
 //!
 //! SECTION: table2|table3|table4|table5|table6|livc|ablation|
-//!          heap-sites|summary|summary-scale|all        (default: all)
+//!          heap-sites|summary|all        (default: all)
 //! --jobs N     worker threads (default: available parallelism; 1 = serial)
 //! --timings    append the per-benchmark timing table (suite sections only)
 //! --lint       append the per-benchmark diagnostics table (pta-lint)
@@ -29,25 +28,12 @@
 //!              milliseconds; exhaustion degrades to cheaper analyses
 //!              (rows are tagged with their fidelity)
 //! --budget N   statement budget per benchmark analysis (same ladder)
-//! --prune-liveness  drop points-to pairs for dead local pointers during
-//!              propagation (liveness-pruned per-point tables; use-point
-//!              resolutions unchanged); the JSON artifact then carries a
-//!              per-benchmark `"prune"` sparsity section (E17)
 //! --demand     run the demand-driven first-answer study (E18): per
 //!              benchmark, pick the defined function with the smallest
 //!              backward slice, time a demand-driven analysis rooted
 //!              there against an exhaustive cold analysis, and print
 //!              the latency table; the JSON artifact then carries a
 //!              `"demand"` section (see docs/QUERIES.md)
-//! --engine ig|summary  interprocedural engine for the suite runs:
-//!              `ig` (default) is the paper's invocation-graph engine,
-//!              `summary` the bottom-up procedure-summary engine (same
-//!              answers; see DESIGN.md §11)
-//! --summary-json PATH  write the summary-engine artifact
-//!              (`BENCH_summary.json`): the E19 scaling table on the
-//!              call-fanout generator plus the summary-extended E11
-//!              ablation; the `summary-scale` section prints the E19
-//!              table (timings, so excluded from `all` like --timings)
 //! ```
 //!
 //! Tables 2–6 are byte-identical for every `--jobs` value; timings are
@@ -75,7 +61,6 @@ fn main() {
     let mut serve_json: Option<String> = None;
     let mut store_dir: Option<String> = None;
     let mut demand = false;
-    let mut summary_json: Option<String> = None;
     let mut config = AnalysisConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -119,19 +104,7 @@ fn main() {
                     _ => die_usage(&format!("--budget expects a positive number, got `{v}`")),
                 }
             }
-            "--prune-liveness" => config.prune_liveness = true,
             "--demand" => demand = true,
-            "--engine" => {
-                let v = args.next().unwrap_or_default();
-                match pta_core::Engine::parse(&v) {
-                    Some(e) => config.engine = e,
-                    None => die_usage(&format!("--engine expects `ig` or `summary`, got `{v}`")),
-                }
-            }
-            "--summary-json" => match args.next() {
-                Some(p) => summary_json = Some(p),
-                None => die_usage("--summary-json expects a file path"),
-            },
             s if s.starts_with('-') => die_usage(&format!("unknown flag `{s}`")),
             s => section = Some(s.to_owned()),
         }
@@ -143,7 +116,6 @@ fn main() {
         "table5",
         "table6",
         "summary",
-        "summary-scale",
         "livc",
         "heap-sites",
         "ablation",
@@ -203,62 +175,7 @@ fn main() {
             with_metrics,
             store_path.as_deref(),
         );
-        if want("table2") {
-            println!(
-                "== Table 2: benchmark characteristics ==\n{}",
-                suite.table2()
-            );
-        }
-        if want("table3") {
-            println!(
-                "== Table 3: points-to statistics for indirect references ==\n{}",
-                suite.table3()
-            );
-        }
-        if want("table4") {
-            println!(
-                "== Table 4: categorization of points-to info used by indirect refs ==\n{}",
-                suite.table4()
-            );
-        }
-        if want("table5") {
-            println!(
-                "== Table 5: general points-to statistics ==\n{}",
-                suite.table5()
-            );
-        }
-        if want("table6") {
-            println!(
-                "== Table 6: invocation graph statistics ==\n{}",
-                suite.table6()
-            );
-        }
-        if want("summary") {
-            let s = suite.summary();
-            println!("== Section 6 headline aggregates ==");
-            println!("indirect references:           {}", s.ind_refs);
-            println!(
-                "overall avg targets/ref:       {:.2}  (paper: 1.13)",
-                s.overall_avg
-            );
-            println!(
-                "% definite single target:      {:.2}% (paper: 28.80%)",
-                s.pct_definite
-            );
-            println!(
-                "% at most one non-NULL target: {:.2}% (paper: 90.76%)",
-                s.pct_single
-            );
-            println!(
-                "% replaceable by direct ref:   {:.2}% (paper: 19.39%)",
-                s.pct_replaceable
-            );
-            println!(
-                "% pairs targeting the heap:    {:.2}% (paper: 27.92%)",
-                s.pct_heap
-            );
-            println!();
-        }
+        print!("{}", suite.render_tables(want));
         if timings {
             println!(
                 "== Suite timings (wall clock; not part of the tables) ==\n{}",
@@ -326,75 +243,12 @@ fn main() {
             failed = true;
         }
     }
-    if want("livc") {
-        match report::livc_study_jobs(jobs) {
-            Ok(s) => println!("== livc function-pointer study ==\n{}", s.render()),
-            Err(e) => {
-                eprintln!("report: livc study failed: {e}");
-                failed = true;
-            }
-        }
+    let (studies, errors) = report::render_studies(jobs, want);
+    print!("{studies}");
+    for e in &errors {
+        eprintln!("report: {e}");
     }
-    if want("heap-sites") {
-        match report::heap_site_ablation_jobs(jobs) {
-            Ok(rows) => println!(
-                "== Allocation-site heap extension (E12) ==\n{}",
-                report::render_heap_sites(&rows)
-            ),
-            Err(e) => {
-                eprintln!("report: heap-site ablation failed: {e}");
-                failed = true;
-            }
-        }
-    }
-    let mut ablation_rows = None;
-    if want("ablation") || summary_json.is_some() {
-        match report::ablation_jobs(jobs) {
-            Ok(rows) => {
-                if want("ablation") {
-                    println!(
-                        "== Context-sensitivity ablation ==\n{}",
-                        report::render_ablation(&rows)
-                    );
-                }
-                ablation_rows = Some(rows);
-            }
-            Err(e) => {
-                eprintln!("report: ablation failed: {e}");
-                failed = true;
-            }
-        }
-    }
-    // The E19 table carries wall-clock timings, so (like `--timings`) it
-    // is excluded from `all`: `report all` stays byte-identical across
-    // runs and store modes. Ask for the section by name.
-    let scale_wanted = arg == "summary-scale";
-    if scale_wanted || summary_json.is_some() {
-        match report::summary_scale_study(report::SUMMARY_SCALE_TIERS) {
-            Ok(rows) => {
-                if scale_wanted {
-                    println!(
-                        "== Summary-engine scaling on call fan-out (E19) ==\n{}",
-                        report::render_summary_scale(&rows)
-                    );
-                }
-                if rows.iter().any(|r| !r.sound) {
-                    eprintln!("report: summary-engine facts are not a sound superset");
-                    failed = true;
-                }
-                if let (Some(path), Some(ablation)) = (&summary_json, &ablation_rows) {
-                    let artifact = report::summary_artifact(ablation, &rows);
-                    std::fs::write(path, artifact)
-                        .unwrap_or_else(|e| die_usage(&format!("cannot write {path}: {e}")));
-                    eprintln!("wrote summary study to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("report: summary scaling study failed: {e}");
-                failed = true;
-            }
-        }
-    }
+    failed |= !errors.is_empty();
     if failed {
         eprintln!("report: some analyses failed; see the rows above");
         std::process::exit(EXIT_ANALYSIS);

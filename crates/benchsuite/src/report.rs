@@ -14,6 +14,7 @@ use pta_core::baseline::{
     CallGraphStrategy,
 };
 use pta_core::stats::{self, BenchmarkStats};
+use pta_core::trace::json_escape;
 use pta_core::{AnalysisConfig, AnalysisError, Def, Fidelity, PtSet, PtaError};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -384,6 +385,71 @@ impl SuiteReport {
         out
     }
 
+    /// The deterministic suite sections of the `report` bin — Tables
+    /// 2–6 and the §6 headline aggregates — that `want` selects by
+    /// section name, in print order and byte for byte as printed.
+    pub fn render_tables(&self, want: impl Fn(&str) -> bool) -> String {
+        let mut out = String::new();
+        let mut section = |id: &str, title: &str, render: fn(&Self) -> String| {
+            if want(id) {
+                let _ = writeln!(out, "== {title} ==\n{}", render(self));
+            }
+        };
+        section("table2", "Table 2: benchmark characteristics", Self::table2);
+        section(
+            "table3",
+            "Table 3: points-to statistics for indirect references",
+            Self::table3,
+        );
+        section(
+            "table4",
+            "Table 4: categorization of points-to info used by indirect refs",
+            Self::table4,
+        );
+        section(
+            "table5",
+            "Table 5: general points-to statistics",
+            Self::table5,
+        );
+        section(
+            "table6",
+            "Table 6: invocation graph statistics",
+            Self::table6,
+        );
+        if want("summary") {
+            let s = self.summary();
+            let _ = writeln!(out, "== Section 6 headline aggregates ==");
+            let _ = writeln!(out, "indirect references:           {}", s.ind_refs);
+            let _ = writeln!(
+                out,
+                "overall avg targets/ref:       {:.2}  (paper: 1.13)",
+                s.overall_avg
+            );
+            let _ = writeln!(
+                out,
+                "% definite single target:      {:.2}% (paper: 28.80%)",
+                s.pct_definite
+            );
+            let _ = writeln!(
+                out,
+                "% at most one non-NULL target: {:.2}% (paper: 90.76%)",
+                s.pct_single
+            );
+            let _ = writeln!(
+                out,
+                "% replaceable by direct ref:   {:.2}% (paper: 19.39%)",
+                s.pct_replaceable
+            );
+            let _ = writeln!(
+                out,
+                "% pairs targeting the heap:    {:.2}% (paper: 27.92%)",
+                s.pct_heap
+            );
+            out.push('\n');
+        }
+        out
+    }
+
     /// Renders Table 2.
     pub fn table2(&self) -> String {
         let mut out = String::new();
@@ -609,9 +675,7 @@ impl SuiteReport {
     /// stamped with the snapshot/trace schema version. Each benchmark
     /// entry carries its result provenance: a `"fidelity"` tag for
     /// analysed rows, `"failed"` plus an `"error"` message for failed
-    /// ones, and a `"warm_ms"` field in store mode. Runs with
-    /// `--prune-liveness` add a per-benchmark `"prune"` object
-    /// (seen/pruned pair counters and the sparsity percentage, E17).
+    /// ones, and a `"warm_ms"` field in store mode.
     pub fn timings_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -646,17 +710,6 @@ impl SuiteReport {
                     // byte-comparable across runs and job counts.
                     if let Some(m) = &r.metrics {
                         let _ = write!(out, ",\"metrics\":{}", m.to_json());
-                    }
-                    let p = &r.analysed.result.prune;
-                    if p.enabled {
-                        let _ = write!(
-                            out,
-                            ",\"prune\":{{\"seen_pairs\":{},\"pruned_pairs\":{},\
-                             \"sparsity_pct\":{:.2}}}",
-                            p.seen_pairs,
-                            p.pruned_pairs,
-                            p.sparsity_pct()
-                        );
                     }
                     out.push('}');
                 }
@@ -855,21 +908,6 @@ fn fidelity_marker(r: &AnalysedRow) -> String {
     }
 }
 
-/// Minimal JSON string escaping for error messages.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parses and validates a `pta.load.v1` serve artifact (the file
 /// `pta-load --json` writes). Rejects non-JSON input, non-objects, and
 /// anything without the right `"schema"` stamp.
@@ -1048,10 +1086,6 @@ pub struct AblationRow {
     pub name: String,
     /// Context-sensitive (the paper's analysis).
     pub context_sensitive: f64,
-    /// The bottom-up summary engine (same answers as the
-    /// context-sensitive column by construction; the column is the
-    /// cross-engine regression gate).
-    pub summary: f64,
     /// Context-insensitive flow-sensitive baseline.
     pub context_insensitive: f64,
     /// Andersen-style flow-insensitive baseline.
@@ -1120,11 +1154,6 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
     let mut result = cs_r?;
     let cs = stats::table3(b.name, &ir, &mut result).avg();
 
-    // The summary engine re-derives the same facts bottom-up; its
-    // column in the ablation is the cross-engine precision gate.
-    let mut sum_result = pta_core::analyze_summary(&ir, pta_core::AnalysisConfig::default())?;
-    let su = stats::table3(b.name, &ir, &mut sum_result).avg();
-
     let ins = ins_r?;
     let mut ins_result = pta_core::AnalysisResult {
         locs: ins.locs,
@@ -1133,7 +1162,6 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
         exit_set: ins.exit_set,
         warnings: Vec::new(),
         escapes: Vec::new(),
-        prune: Default::default(),
     };
     let ci = stats::table3(b.name, &ir, &mut ins_result).avg();
     let t3_ins = stats::table3(b.name, &ir, &mut ins_result);
@@ -1155,7 +1183,6 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
             exit_set: and.solution.clone(),
             warnings: Vec::new(),
             escapes: Vec::new(),
-            prune: Default::default(),
         };
         stats::table3(b.name, &ir, &mut and_result).avg()
     };
@@ -1183,7 +1210,6 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
             exit_set: sol,
             warnings: Vec::new(),
             escapes: Vec::new(),
-            prune: Default::default(),
         };
         stats::table3(b.name, &ir, &mut st_result).avg()
     };
@@ -1199,7 +1225,6 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
     Ok(AblationRow {
         name: b.name.to_owned(),
         context_sensitive: cs,
-        summary: su,
         context_insensitive: ci,
         andersen: an,
         steensgaard: se,
@@ -1208,22 +1233,64 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
     })
 }
 
+/// The deterministic study sections of the `report` bin — the livc
+/// study, the allocation-site heap extension and the ablation — that
+/// `want` selects by section name, in print order and byte for byte as
+/// printed. A study that fails adds a message to the returned list
+/// instead of a section.
+pub fn render_studies(jobs: usize, want: impl Fn(&str) -> bool) -> (String, Vec<String>) {
+    let mut out = String::new();
+    let mut errors = Vec::new();
+    if want("livc") {
+        match livc_study_jobs(jobs) {
+            Ok(s) => {
+                let _ = writeln!(out, "== livc function-pointer study ==\n{}", s.render());
+            }
+            Err(e) => errors.push(format!("livc study failed: {e}")),
+        }
+    }
+    if want("heap-sites") {
+        match heap_site_ablation_jobs(jobs) {
+            Ok(rows) => {
+                let _ = writeln!(
+                    out,
+                    "== Allocation-site heap extension (E12) ==\n{}",
+                    render_heap_sites(&rows)
+                );
+            }
+            Err(e) => errors.push(format!("heap-site ablation failed: {e}")),
+        }
+    }
+    if want("ablation") {
+        match ablation_jobs(jobs) {
+            Ok(rows) => {
+                let _ = writeln!(
+                    out,
+                    "== Context-sensitivity ablation ==\n{}",
+                    render_ablation(&rows)
+                );
+            }
+            Err(e) => errors.push(format!("ablation failed: {e}")),
+        }
+    }
+    (out, errors)
+}
+
 /// Renders the ablation table.
 pub fn render_ablation(rows: &[AblationRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<10} {:>10} {:>8} {:>12} {:>10} {:>12} {:>8} {:>8}   (avg targets/ref; %D = definite single target)",
-        "Benchmark", "ctx-sens", "summary", "ctx-insens", "andersen", "steensgaard", "%D-cs", "%D-ci"
+        "{:<10} {:>10} {:>12} {:>10} {:>12} {:>8} {:>8}   (avg targets/ref; %D = definite single target)",
+        "Benchmark", "ctx-sens", "ctx-insens", "andersen", "steensgaard", "%D-cs", "%D-ci"
     );
-    let mut sums = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut sums = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>10.2} {:>8.2} {:>12.2} {:>10.2} {:>12.2} {:>7.1}% {:>7.1}%",
+            "{:<10} {:>10.2} {:>12.2} {:>10.2} {:>12.2} {:>7.1}% {:>7.1}%",
             r.name,
             r.context_sensitive,
-            r.summary,
             r.context_insensitive,
             r.andersen,
             r.steensgaard,
@@ -1231,25 +1298,23 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
             r.definite_ci
         );
         sums.0 += r.context_sensitive;
-        sums.1 += r.summary;
-        sums.2 += r.context_insensitive;
-        sums.3 += r.andersen;
-        sums.4 += r.steensgaard;
-        sums.5 += r.definite_cs;
-        sums.6 += r.definite_ci;
+        sums.1 += r.context_insensitive;
+        sums.2 += r.andersen;
+        sums.3 += r.steensgaard;
+        sums.4 += r.definite_cs;
+        sums.5 += r.definite_ci;
     }
     let n = rows.len().max(1) as f64;
     let _ = writeln!(
         out,
-        "{:<10} {:>10.2} {:>8.2} {:>12.2} {:>10.2} {:>12.2} {:>7.1}% {:>7.1}%",
+        "{:<10} {:>10.2} {:>12.2} {:>10.2} {:>12.2} {:>7.1}% {:>7.1}%",
         "MEAN",
         sums.0 / n,
         sums.1 / n,
         sums.2 / n,
         sums.3 / n,
         sums.4 / n,
-        sums.5 / n,
-        sums.6 / n
+        sums.5 / n
     );
     out
 }
@@ -1437,188 +1502,6 @@ pub fn demand_json(rows: &[DemandBenchRow]) -> String {
     }
     out.push(']');
     out
-}
-
-/// Extension experiment (E19): where bottom-up summaries overtake
-/// per-invocation re-analysis. One row per size tier of the
-/// `call-fanout` stress family (see `pta_prop::cgen::call_fanout`):
-/// `n` call sites hand one worker function the same calling context, so
-/// the invocation-graph engine re-analyses the worker `n` times while
-/// the summary engine replays `n - 1` of them from its context memo.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SummaryScaleRow {
-    /// Fan-out (call sites on the worker = size-tier parameter).
-    pub call_sites: usize,
-    /// Defined functions in the generated program.
-    pub functions: usize,
-    /// SIMPLE statements in the generated program.
-    pub stmts: usize,
-    /// Wall clock of the invocation-graph engine (best of three).
-    pub ig_ms: f64,
-    /// Wall clock of the summary engine (best of three).
-    pub summary_ms: f64,
-    /// Calling contexts the summary engine replayed from its memo.
-    pub memo_hits: usize,
-    /// True when the summary facts are a sound superset of the
-    /// invocation-graph facts (must always hold).
-    pub sound: bool,
-    /// True when the name-level facts are identical (they are, on every
-    /// program — the stronger observed property).
-    pub identical: bool,
-}
-
-impl SummaryScaleRow {
-    /// Invocation-graph over summary wall clock.
-    pub fn speedup(&self) -> f64 {
-        if self.summary_ms > 0.0 {
-            self.ig_ms / self.summary_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// The E19 size tiers (call-site fan-out of the generated programs).
-pub const SUMMARY_SCALE_TIERS: &[usize] = &[2, 4, 8, 16, 32, 64];
-
-/// Runs the summary-vs-invocation-graph scaling study (E19) on the
-/// `call-fanout` generator at the given size tiers.
-///
-/// # Errors
-///
-/// Propagates front-end or analysis failures.
-pub fn summary_scale_study(tiers: &[usize]) -> Result<Vec<SummaryScaleRow>, PtaError> {
-    let mut rows = Vec::with_capacity(tiers.len());
-    for &n in tiers {
-        let source = pta_prop::cgen::call_fanout(n);
-        let ir = pta_simple::compile(&source)?;
-        let config = AnalysisConfig::default();
-        // Best-of-three wall clocks: these programs analyse in
-        // milliseconds, so a single sample is mostly scheduler noise.
-        let mut ig_ms = f64::INFINITY;
-        let mut ig_result = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let r = pta_core::analyze_with(&ir, config.clone())?;
-            ig_ms = ig_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            ig_result = Some(r);
-        }
-        let summary_config = AnalysisConfig {
-            engine: pta_core::Engine::Summary,
-            ..config
-        };
-        let mut summary_ms = f64::INFINITY;
-        let mut summary_run = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let r = pta_core::analyze_recorded(&ir, summary_config.clone())?;
-            summary_ms = summary_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            summary_run = Some(r);
-        }
-        let ig_result = ig_result.expect("three iterations ran");
-        let summary_run = summary_run.expect("three iterations ran");
-        rows.push(SummaryScaleRow {
-            call_sites: n,
-            functions: ir.defined_functions().count(),
-            stmts: ir.total_basic_stmts(),
-            ig_ms,
-            summary_ms,
-            memo_hits: summary_run.seed_hits,
-            sound: pta_core::sound_superset(&ig_result, &summary_run.result),
-            identical: pta_core::named_facts(&ig_result)
-                == pta_core::named_facts(&summary_run.result),
-        });
-    }
-    Ok(rows)
-}
-
-/// Renders the summary-scaling study (E19).
-pub fn render_summary_scale(rows: &[SummaryScaleRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<6} {:>6} {:>7} {:>9} {:>12} {:>10} {:>8}",
-        "sites", "#fns", "stmts", "ig-ms", "summary-ms", "memo-hits", "speedup"
-    );
-    for r in rows {
-        let marker = match (r.sound, r.identical) {
-            (false, _) => "  [UNSOUND]",
-            (true, false) => "  [superset]",
-            (true, true) => "",
-        };
-        let _ = writeln!(
-            out,
-            "{:<6} {:>6} {:>7} {:>9.3} {:>12.3} {:>10} {:>7.2}x{}",
-            r.call_sites,
-            r.functions,
-            r.stmts,
-            r.ig_ms,
-            r.summary_ms,
-            r.memo_hits,
-            r.speedup(),
-            marker
-        );
-    }
-    out
-}
-
-/// The summary study as a JSON array value (the `"summary_scale"`
-/// section of `BENCH_summary.json`).
-pub fn summary_scale_json(rows: &[SummaryScaleRow]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"call_sites\":{},\"functions\":{},\"stmts\":{},\
-             \"ig_ms\":{:.3},\"summary_ms\":{:.3},\"memo_hits\":{},\
-             \"sound\":{},\"identical\":{},\"speedup\":{:.2}}}",
-            if i == 0 { "" } else { "," },
-            r.call_sites,
-            r.functions,
-            r.stmts,
-            r.ig_ms,
-            r.summary_ms,
-            r.memo_hits,
-            r.sound,
-            r.identical,
-            r.speedup()
-        );
-    }
-    out.push(']');
-    out
-}
-
-/// The E11 ablation as a JSON array value (the `"ablation"` section of
-/// `BENCH_summary.json` — the per-benchmark precision columns with the
-/// summary engine alongside the four E11 analyses).
-pub fn ablation_json(rows: &[AblationRow]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"name\":\"{}\",\"context_sensitive\":{:.4},\"summary\":{:.4},\
-             \"context_insensitive\":{:.4},\"andersen\":{:.4},\"steensgaard\":{:.4}}}",
-            if i == 0 { "" } else { "," },
-            r.name,
-            r.context_sensitive,
-            r.summary,
-            r.context_insensitive,
-            r.andersen,
-            r.steensgaard
-        );
-    }
-    out.push(']');
-    out
-}
-
-/// The `BENCH_summary.json` artifact: the E19 scaling table plus the
-/// summary-extended E11 ablation, as one JSON document.
-pub fn summary_artifact(ablation: &[AblationRow], scale: &[SummaryScaleRow]) -> String {
-    format!(
-        "{{\"schema\":\"pta-bench-summary-v1\",\"ablation\":{},\"summary_scale\":{}}}\n",
-        ablation_json(ablation),
-        summary_scale_json(scale)
-    )
 }
 
 /// Splices one extra `"key":value` section into a rendered bench

@@ -16,11 +16,6 @@
 //! pta callgraph <file.c> [--dot | --json]
 //! ```
 //!
-//! Every analysing mode also takes `--engine ig|summary` to pick the
-//! interprocedural engine: `ig` (default) is the paper's
-//! invocation-graph analysis, `summary` the bottom-up procedure-summary
-//! engine (same answers, pre-composed summaries; see `DESIGN.md` §11).
-//!
 //! With no flags, prints a short summary. `--points-to` dumps the
 //! merged points-to set at every program point. `--deadline` and
 //! `--budget` bound the analysis; when a bound trips, the run degrades
@@ -51,7 +46,7 @@
 //! per-function profile, and `--scrub-timings` zeroes every timing
 //! field for byte-identical golden streams.
 
-use pta_apps::{alias_pairs_at, call_graph, null_derefs, replaceable_refs};
+use pta_apps::{alias_pairs_at, call_graph, replaceable_refs};
 use pta_core::{stats, AnalysisConfig};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -67,7 +62,6 @@ struct Options {
     tables: bool,
     warnings: bool,
     dot: bool,
-    null: bool,
     config: AnalysisConfig,
 }
 
@@ -83,7 +77,6 @@ fn parse_args() -> Result<Options, String> {
         tables: false,
         warnings: false,
         dot: false,
-        null: false,
         config: AnalysisConfig::default(),
     };
     let mut argv = std::env::args().skip(1);
@@ -98,7 +91,6 @@ fn parse_args() -> Result<Options, String> {
             "--tables" => o.tables = true,
             "--warnings" => o.warnings = true,
             "--dot" => o.dot = true,
-            "--null" => o.null = true,
             "--deadline" => {
                 let ms: u64 = parse_value(&mut argv, "--deadline")?;
                 o.config.deadline = Some(Duration::from_millis(ms));
@@ -110,7 +102,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 o.config.max_steps = n;
             }
-            "--engine" => o.config.engine = parse_engine(&mut argv)?,
             "--help" | "-h" => return Err(usage()),
             f if !f.starts_with('-') => {
                 if o.file.is_some() {
@@ -136,16 +127,10 @@ fn parse_value<T: std::str::FromStr>(
         .map_err(|_| format!("{flag}: invalid value `{raw}`"))
 }
 
-fn parse_engine(argv: &mut impl Iterator<Item = String>) -> Result<pta_core::Engine, String> {
-    let raw: String = parse_value(argv, "--engine")?;
-    pta_core::Engine::parse(&raw)
-        .ok_or_else(|| format!("--engine: unknown engine `{raw}` (expected `ig` or `summary`)"))
-}
-
 fn usage() -> String {
     "usage: pta <file.c> [--simple] [--points-to] [--ig] [--call-graph] \
-     [--aliases] [--replace] [--tables] [--warnings] [--dot] [--null] \
-     [--deadline MS] [--budget N] [--engine ig|summary]"
+     [--aliases] [--replace] [--tables] [--warnings] [--dot] \
+     [--deadline MS] [--budget N]"
         .to_owned()
 }
 
@@ -166,8 +151,8 @@ fn lint_usage() -> String {
         .collect();
     format!(
         "usage: pta lint <file.c>... [--json] [--allow ID] [--deny ID] \
-         [--jobs N] [--deadline MS] [--budget N] [--prune-liveness] \
-         [--engine ig|summary] [--check ID [--demand]]\nchecks:\n{}\n\
+         [--jobs N] [--deadline MS] [--budget N] \
+         [--check ID [--demand]]\nchecks:\n{}\n\
          --check runs (and reports) a single check; with --demand it \
          runs demand-driven — the analysis covers only the backward \
          slice of the check's query roots (see docs/QUERIES.md), with \
@@ -213,8 +198,6 @@ fn parse_lint_args(args: impl Iterator<Item = String>) -> Result<LintCliOptions,
                 }
                 o.config.max_steps = n;
             }
-            "--prune-liveness" => o.config.prune_liveness = true,
-            "--engine" => o.config.engine = parse_engine(&mut argv)?,
             "--check" => o.check = Some(parse_value(&mut argv, "--check")?),
             "--demand" => o.demand = true,
             "--help" | "-h" => return Err(lint_usage()),
@@ -336,8 +319,7 @@ struct TraceCliOptions {
 
 fn trace_usage() -> String {
     "usage: pta trace <file.c> [--trace-out PATH] [--chrome-out PATH] \
-     [--metrics] [--scrub-timings] [--deadline MS] [--budget N] \
-     [--engine ig|summary]\n\
+     [--metrics] [--scrub-timings] [--deadline MS] [--budget N]\n\
      JSONL events go to stdout unless --trace-out is given; the schema \
      is documented in docs/TRACING.md"
         .to_owned()
@@ -370,7 +352,6 @@ fn parse_trace_args(args: impl Iterator<Item = String>) -> Result<TraceCliOption
                 }
                 o.config.max_steps = n;
             }
-            "--engine" => o.config.engine = parse_engine(&mut argv)?,
             "--help" | "-h" => return Err(trace_usage()),
             f if !f.starts_with('-') => {
                 if o.file.is_some() {
@@ -478,7 +459,7 @@ struct ServeCliOptions {
 fn serve_usage() -> String {
     "usage: pta serve <file.c>... [--store PATH | --store-dir DIR] \
      [--listen ADDR] [--cache N] [--query-deadline MS] [--metrics] \
-     [--deadline MS] [--budget N] [--engine ig|summary] [--max-conns N] \
+     [--deadline MS] [--budget N] [--max-conns N] \
      [--io-timeout-ms MS] [--max-line-bytes N] [--demand]\n\
      JSONL request/response daemon (see docs/SERVING.md). Requests: \
      {\"id\":…,\"op\":\"points-to\"|\"aliases?\"|\"call-targets\"|\"lint\",…}, \
@@ -545,7 +526,6 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeCliOption
                 }
                 o.config.max_steps = n;
             }
-            "--engine" => o.config.engine = parse_engine(&mut argv)?,
             "--max-conns" => o.max_conns = parse_value(&mut argv, "--max-conns")?,
             "--io-timeout-ms" => {
                 let ms: u64 = parse_value(&mut argv, "--io-timeout-ms")?;
@@ -833,7 +813,7 @@ fn serve_stdio(handler: &impl pta_store::LineHandler, metrics: bool) -> ExitCode
 }
 
 /// `pta callgraph <file.c>` — prints the conservative call graph the
-/// summary and demand engines plan over (indirect calls resolved to
+/// demand slicer plans over (indirect calls resolved to
 /// every address-taken function), its Tarjan SCCs, and the
 /// condensation, without running any points-to analysis. `--dot`
 /// renders Graphviz (SCCs as clusters), `--json` a machine-readable
@@ -1109,18 +1089,6 @@ fn main() -> ExitCode {
             all.t6.recursive,
             all.t6.approximate
         );
-        println!();
-    }
-    if opts.null {
-        println!("== NULL dereference findings ==");
-        let ir = pta.ir.clone();
-        let findings = null_derefs(&ir, &mut pta.result);
-        if findings.is_empty() {
-            println!("(none)");
-        }
-        for f in findings {
-            println!("{f}");
-        }
         println!();
     }
     if opts.dot {

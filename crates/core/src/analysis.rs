@@ -16,42 +16,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which interprocedural engine answers a run.
-///
-/// Both engines share the statement rules, map/unmap, and the
-/// invocation graph; they differ in how calling contexts are reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The paper's engine: per-invocation re-analysis with per-node
-    /// memoization (Figure 4).
-    #[default]
-    InvocationGraph,
-    /// The bottom-up summary engine ([`crate::summary`]): GPG summaries
-    /// composed over call-graph SCCs drive a program-wide memo of
-    /// context pairs, so an input context analysed at one call site is
-    /// replayed at every other site that produces it.
-    Summary,
-}
-
-impl Engine {
-    /// Stable tag for flags, traces, and JSON artifacts.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Engine::InvocationGraph => "ig",
-            Engine::Summary => "summary",
-        }
-    }
-
-    /// Parses a `--engine` flag value.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "ig" | "invocation-graph" => Some(Engine::InvocationGraph),
-            "summary" => Some(Engine::Summary),
-            _ => None,
-        }
-    }
-}
-
 /// Tunable parameters of the analysis, including its resource budgets.
 ///
 /// Every budget exhaustion surfaces as a distinct [`AnalysisError`]
@@ -89,21 +53,11 @@ pub struct AnalysisConfig {
     /// callee). Distinct from `max_sym_depth`, which bounds the *names*
     /// invented for invisible variables, not the traversal itself.
     pub max_map_depth: u32,
-    /// Drop points-to pairs sourced at dead, never-address-taken locals
-    /// during propagation (liveness from [`crate::dataflow`]). Shrinks
-    /// the flowed and recorded sets; resolutions at every *use* point
-    /// are unchanged (a used pointer is live there by definition), and
-    /// globals/parameters are never pruned, but per-point tables are
-    /// sparser and locals dead at a function's exit drop out of its
-    /// exit flow — see `docs/DESIGN.md`.
-    pub prune_liveness: bool,
     /// Demand slice: when set, calls to defined functions outside
     /// `slice` are skipped (identity flow). Only sound for the query
     /// roots the slice was planned for — see [`crate::demand`] and
     /// `docs/QUERIES.md`; `None` is the exhaustive engine.
     pub demand: Option<crate::demand::DemandInfo>,
-    /// Which interprocedural engine answers the run (see [`Engine`]).
-    pub engine: Engine,
 }
 
 impl Default for AnalysisConfig {
@@ -118,37 +72,7 @@ impl Default for AnalysisConfig {
             deadline: None,
             max_pt_pairs: 4_000_000,
             max_map_depth: 128,
-            prune_liveness: false,
             demand: None,
-            engine: Engine::default(),
-        }
-    }
-}
-
-/// Statistics from the opt-in `prune_liveness` mode (all zero when the
-/// mode is off or the engine never ran — fallback rungs don't prune).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PruneStats {
-    /// The mode was on for this run.
-    pub enabled: bool,
-    /// Pairs that flowed out of basic statements (pre-prune).
-    pub seen_pairs: u64,
-    /// Pairs dropped because their source was dead.
-    pub pruned_pairs: u64,
-    /// Functions with a usable liveness mask.
-    pub funcs_analyzed: usize,
-    /// Functions skipped (no body, nothing prunable, or the solver ran
-    /// out of visits).
-    pub funcs_skipped: usize,
-}
-
-impl PruneStats {
-    /// Percentage of flowed pairs that pruning dropped.
-    pub fn sparsity_pct(&self) -> f64 {
-        if self.seen_pairs == 0 {
-            0.0
-        } else {
-            100.0 * self.pruned_pairs as f64 / self.seen_pairs as f64
         }
     }
 }
@@ -310,9 +234,6 @@ pub struct AnalysisResult {
     /// Structured dangling-pointer events observed during unmap (empty
     /// for the fallback engines, which do not model scopes).
     pub escapes: Vec<EscapeEvent>,
-    /// Liveness-pruning statistics (zeroed unless the run had
-    /// [`AnalysisConfig::prune_liveness`] on).
-    pub prune: PruneStats,
 }
 
 impl AnalysisResult {
@@ -579,33 +500,17 @@ fn analyze_impl<'p>(
     warm: Option<WarmStart>,
 ) -> Result<EngineRun, AnalysisError> {
     let entry = ir.entry.ok_or(AnalysisError::NoEntry)?;
-    let mut budget = Budget::new(
+    let budget = Budget::new(
         config.max_steps,
         config.deadline,
         config.max_pt_pairs,
         config.max_map_depth,
     );
-    // Summary engine: build and compose the GPG summaries bottom-up
-    // first (honoring the run's budget), and force capturing on — the
-    // program-wide context-pair memo replays captures at its hits.
-    let summary = if config.engine == Engine::Summary {
-        Some(Box::new(
-            crate::summary::SummaryCtx::build(ir, &mut budget)
-                .map_err(crate::summary::composition_error)?,
-        ))
-    } else {
-        None
-    };
-    let capture = capture || summary.is_some();
     let ig = InvocationGraph::build(ir, entry, config.max_ig_nodes)
         .map_err(|o| o.into_error(ir, None))?;
     let (locs, seeds) = match warm {
         Some(w) => (w.locs, w.seeds),
         None => (LocationTable::new(), WarmSeeds::default()),
-    };
-    let prune = PruneStats {
-        enabled: config.prune_liveness,
-        ..PruneStats::default()
     };
     let mut a = Analyzer {
         ir,
@@ -625,9 +530,6 @@ fn analyze_impl<'p>(
         cap_stack: Vec::new(),
         node_caps: BTreeMap::new(),
         seed_hits: 0,
-        prune_masks: BTreeMap::new(),
-        prune,
-        summary,
     };
     a.tracer.emit(|| TraceEvent::AnalysisStart {
         functions: ir.defined_functions().count(),
@@ -665,20 +567,6 @@ fn analyze_impl<'p>(
     let root = a.ig.root();
     let out = a.analyze_node(root, init)?;
     let exit_set = out.unwrap_or_default();
-    if let Some(ctx) = a.summary.take() {
-        let mut ctx = *ctx;
-        // Fold points-to-resolved function-pointer targets into the
-        // summaries (the paper's re-composition step for indirect
-        // calls), then report one `summary` event per function in
-        // composition order.
-        ctx.recompose(&mut a.budget)
-            .map_err(crate::summary::composition_error)?;
-        if a.tracer.enabled() {
-            for ev in ctx.events(ir) {
-                a.tracer.emit(|| ev.clone());
-            }
-        }
-    }
     if a.tracer.enabled() {
         let s = a.ig.stats();
         let (steps, exit_pairs, warnings) = (a.budget.steps(), exit_set.len(), a.warnings.len());
@@ -699,15 +587,15 @@ fn analyze_impl<'p>(
             exit_set,
             warnings: a.warnings,
             escapes: a.escapes,
-            prune: a.prune,
         },
         node_captures: a.node_caps,
         seed_hits: a.seed_hits,
     })
 }
 
-/// The analysis engine. Split across `intra`, `interproc`, `map_process`,
-/// `unmap`, `funcptr`, and `externs` modules.
+/// The analysis engine. Split across the `intra`, `interproc`,
+/// `map_process` and `unmap` modules; function-pointer calls and
+/// unmodelled externals are handled in `interproc`.
 pub(crate) struct Analyzer<'p> {
     pub(crate) ir: &'p IrProgram,
     pub(crate) config: AnalysisConfig,
@@ -737,15 +625,6 @@ pub(crate) struct Analyzer<'p> {
     pub(crate) node_caps: BTreeMap<u32, Arc<Capture>>,
     /// Memo hits served from `seeds`.
     pub(crate) seed_hits: usize,
-    /// Lazily-built per-function liveness masks for `prune_liveness`
-    /// (`None` = function skipped: no body, nothing prunable, or the
-    /// solver budget ran out).
-    pub(crate) prune_masks: BTreeMap<pta_cfront::ast::FuncId, Option<crate::dataflow::PruneMask>>,
-    /// Pruning counters for this run.
-    pub(crate) prune: PruneStats,
-    /// Summary-engine state ([`Engine::Summary`] runs only): the GPG
-    /// table, the memoizable-function set, and instantiation counters.
-    pub(crate) summary: Option<Box<crate::summary::SummaryCtx>>,
 }
 
 impl<'p> Analyzer<'p> {

@@ -57,7 +57,7 @@ pub fn insensitive_budgeted(
 ) -> Result<InsensitiveResult, AnalysisError> {
     let budget = crate::budget::Budget::new(u64::MAX, deadline, usize::MAX, u32::MAX);
     let entry = ir.entry.ok_or(AnalysisError::NoEntry)?;
-    let mut e = Engine {
+    let mut e = Solver {
         ir,
         locs: LocationTable::new(),
         inputs: BTreeMap::new(),
@@ -142,7 +142,7 @@ pub fn insensitive_budgeted(
     })
 }
 
-struct Engine<'p> {
+struct Solver<'p> {
     ir: &'p IrProgram,
     locs: LocationTable,
     inputs: BTreeMap<FuncId, PtSet>,
@@ -160,7 +160,7 @@ struct Out {
     ret: Flow,
 }
 
-impl<'p> Engine<'p> {
+impl<'p> Solver<'p> {
     fn env(&mut self, func: FuncId) -> RefEnv<'_> {
         RefEnv {
             ir: self.ir,

@@ -112,7 +112,7 @@ impl UnionFind {
     }
 }
 
-struct Engine<'p> {
+struct Solver<'p> {
     ir: &'p IrProgram,
     locs: LocationTable,
     uf: UnionFind,
@@ -145,7 +145,7 @@ pub fn steensgaard_budgeted(
         limit: deadline.unwrap_or_default(),
         at: crate::baseline::baseline_trip("steensgaard", ir, Some(f)),
     };
-    let mut e = Engine {
+    let mut e = Solver {
         ir,
         locs: LocationTable::new(),
         uf: UnionFind::new(),
@@ -204,7 +204,7 @@ pub fn steensgaard_budgeted(
 }
 
 struct SteensgaardResultView<'a, 'p> {
-    e: &'a Engine<'p>,
+    e: &'a Solver<'p>,
 }
 
 impl SteensgaardResultView<'_, '_> {
@@ -221,7 +221,7 @@ impl SteensgaardResultView<'_, '_> {
     }
 }
 
-impl<'p> Engine<'p> {
+impl<'p> Solver<'p> {
     /// Field-insensitive: the root variable location of a path.
     fn base_loc(&mut self, func: FuncId, r: &VarRef) -> Option<LocId> {
         let path = match r {

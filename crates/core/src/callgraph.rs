@@ -1,8 +1,7 @@
-//! The conservative whole-program call graph, shared by the
-//! demand-driven slicer ([`crate::demand`]) and the bottom-up summary
-//! engine ([`crate::summary`]).
+//! The conservative whole-program call graph, used by the
+//! demand-driven slicer ([`crate::demand`]) and `pta callgraph`.
 //!
-//! Edges follow the *conservative* resolution rule both consumers need
+//! Edges follow the *conservative* resolution rule the slicer needs
 //! before any points-to facts exist: a direct call to a defined
 //! function contributes one edge; an indirect call contributes edges to
 //! **every address-taken defined function** (a function pointer can
@@ -12,9 +11,7 @@
 //!
 //! On top of the edge relation the graph carries its Tarjan strongly
 //! connected components in **reverse topological order** (callees
-//! before callers), which is exactly the bottom-up composition order
-//! the summary engine consumes, plus per-function recursion facts the
-//! engines use to decide what is safe to memoize or summarize.
+//! before callers) and per-function recursion facts.
 
 use crate::baseline::address_taken_functions;
 use pta_cfront::ast::FuncId;
@@ -98,7 +95,6 @@ pub struct CallGraph {
     pub preds: BTreeMap<FuncId, Vec<FuncId>>,
     /// Strongly connected components in reverse topological order:
     /// every function a component calls lives in an earlier component.
-    /// This is the summary engine's bottom-up composition order.
     pub sccs: Vec<Vec<FuncId>>,
     /// Function → index into `sccs`.
     comp_of: BTreeMap<FuncId, usize>,
@@ -160,36 +156,6 @@ impl CallGraph {
     /// True if `f` sits on a (conservative) call cycle.
     pub fn is_recursive(&self, f: FuncId) -> bool {
         self.recursive.contains(&f)
-    }
-
-    /// The functions whose conservative call closure (themselves
-    /// included) contains **no** recursive function. A call to such a
-    /// function can never participate in a fixed point, so its analysis
-    /// under an exact input is a self-contained, repeatable summary.
-    pub fn recursion_free(&self) -> BTreeSet<FuncId> {
-        let mut out = BTreeSet::new();
-        // Reverse-topological components: a component is recursion-free
-        // iff it is acyclic (a singleton without a self edge) and every
-        // callee component already proved recursion-free.
-        let mut comp_ok: Vec<bool> = vec![false; self.sccs.len()];
-        for (ci, scc) in self.sccs.iter().enumerate() {
-            let mut ok = scc.len() == 1 && !self.recursive.contains(&scc[0]);
-            if ok {
-                let f = scc[0];
-                for g in self.succs.get(&f).into_iter().flatten() {
-                    let gc = self.comp_of[g];
-                    if gc != ci && !comp_ok[gc] {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            comp_ok[ci] = ok;
-            if ok {
-                out.insert(scc[0]);
-            }
-        }
-        out
     }
 
     /// Distinct edges of the SCC condensation, as `(caller component,
@@ -415,7 +381,6 @@ mod tests {
         assert!(pos("leaf") < pos("mid"));
         assert!(pos("mid") < pos("main"));
         assert!(!cg.is_recursive(fid(&ir, "leaf")));
-        assert_eq!(cg.recursion_free().len(), 3);
     }
 
     #[test]
@@ -428,8 +393,6 @@ mod tests {
         let cg = CallGraph::build(&ir);
         assert!(cg.is_recursive(fid(&ir, "f")));
         assert!(!cg.is_recursive(fid(&ir, "main")));
-        // main reaches the cycle, so only the cycle-free closure is empty.
-        assert!(cg.recursion_free().is_empty());
     }
 
     #[test]
@@ -448,10 +411,7 @@ mod tests {
         let knot = cg.comp_of(fid(&ir, "a")).unwrap();
         assert_eq!(cg.sccs[knot].len(), 2);
         assert!(knot < cg.comp_of(fid(&ir, "main")).unwrap());
-        // `side` calls nothing: recursion-free even though main is not.
-        let free = cg.recursion_free();
-        assert!(free.contains(&fid(&ir, "side")));
-        assert!(!free.contains(&fid(&ir, "main")));
+        assert!(!cg.is_recursive(fid(&ir, "side")));
         // Condensation edges all point from later (caller) to earlier
         // (callee) components.
         for (a, b) in cg.condensation_edges() {
@@ -503,7 +463,7 @@ mod tests {
         .unwrap();
         let cg = CallGraph::build(&ir);
         assert!(cg.is_recursive(fid(&ir, "a")));
-        assert!(!cg.recursion_free().contains(&fid(&ir, "main")));
+        assert!(!cg.is_recursive(fid(&ir, "main")));
     }
 
     #[test]

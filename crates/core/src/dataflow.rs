@@ -12,11 +12,6 @@
 //! - a direction-parametric worklist solver ([`solve`]) over any join
 //!   semilattice, with a visit budget so pathological inputs degrade
 //!   gracefully instead of spinning;
-//! - **syntactic variable liveness** ([`var_liveness`]) used by the
-//!   engine's opt-in `--prune-liveness` mode: points-to pairs sourced
-//!   at a dead, never-address-taken local cannot influence any later
-//!   resolution, map/unmap, or memo lookup, so the engine may drop
-//!   them during propagation (see `docs/DESIGN.md`);
 //! - **location-level liveness and may/must-initialization**
 //!   ([`ProgramDataflow`]) with indirect defs/uses resolved through the
 //!   points-to facts ([`FactQuery`]) and call effects resolved through
@@ -34,8 +29,8 @@ use crate::points_to_set::{Def, PtSet};
 use crate::query::FactQuery;
 use pta_cfront::ast::FuncId;
 use pta_simple::{
-    BasicStmt, CallTarget, IdxClass, IrFunction, IrProgram, IrProj, IrVarId, Operand, Stmt, StmtId,
-    VarBase, VarKind, VarPath, VarRef,
+    BasicStmt, CallTarget, IdxClass, IrFunction, IrProj, IrVarId, Operand, Stmt, StmtId, VarBase,
+    VarKind, VarPath, VarRef,
 };
 use std::collections::BTreeMap;
 
@@ -543,66 +538,6 @@ pub fn default_visit_budget(nodes: usize) -> usize {
 // Syntactic statement helpers
 // ---------------------------------------------------------------------------
 
-/// Adds the root variable of every reference that `op` *reads* to
-/// `out`. Taking an address (`&x`) reads nothing; dereferencing
-/// (`*p`, `&p->f`) reads the pointer.
-fn op_use_roots(op: &Operand, out: &mut impl FnMut(IrVarId)) {
-    match op {
-        Operand::Ref(r) => ref_use_roots(r, true, out),
-        Operand::AddrOf(r) => ref_use_roots(r, false, out),
-        Operand::Func(_) | Operand::Const(_) | Operand::Str(_) => {}
-    }
-}
-
-fn ref_use_roots(r: &VarRef, read_value: bool, out: &mut impl FnMut(IrVarId)) {
-    match r {
-        VarRef::Path(p) => {
-            if read_value {
-                if let VarBase::Var(v) = p.base {
-                    out(v);
-                }
-            }
-        }
-        VarRef::Deref { path, .. } => {
-            // The pointer itself is always read, whether the reference
-            // is a value read or an address computation.
-            if let VarBase::Var(v) = path.base {
-                out(v);
-            }
-        }
-    }
-}
-
-/// The variable roots a basic statement reads (its lhs write path
-/// counts only when it dereferences a pointer).
-fn basic_use_roots(b: &BasicStmt, out: &mut impl FnMut(IrVarId)) {
-    if let Some(lhs) = basic_lhs(b) {
-        ref_use_roots(lhs, false, out); // a deref write reads the pointer
-    }
-    match b {
-        BasicStmt::Copy { rhs, .. } | BasicStmt::Unary { rhs, .. } => op_use_roots(rhs, out),
-        BasicStmt::Binary { a, b, .. } => {
-            op_use_roots(a, out);
-            op_use_roots(b, out);
-        }
-        BasicStmt::PtrArith { ptr, .. } => ref_use_roots(ptr, true, out),
-        BasicStmt::Alloc { size, .. } => op_use_roots(size, out),
-        BasicStmt::Call { target, args, .. } => {
-            if let CallTarget::Indirect(r) = target {
-                ref_use_roots(r, true, out);
-            }
-            for a in args {
-                op_use_roots(a, out);
-            }
-        }
-        BasicStmt::Return(v) => {
-            if let Some(v) = v {
-                op_use_roots(v, out);
-            }
-        }
-    }
-}
-
 fn basic_lhs(b: &BasicStmt) -> Option<&VarRef> {
     match b {
         BasicStmt::Copy { lhs, .. }
@@ -628,160 +563,6 @@ fn for_each_operand<'b>(b: &'b BasicStmt, f: &mut impl FnMut(&'b Operand)) {
         BasicStmt::Return(Some(v)) => f(v),
         BasicStmt::Return(None) => {}
     }
-}
-
-// ---------------------------------------------------------------------------
-// Syntactic variable liveness (the engine's pruning substrate)
-// ---------------------------------------------------------------------------
-
-/// Backward, uses-only liveness at *variable* granularity, computed
-/// purely syntactically (it runs inside the engine, before any
-/// points-to facts exist).
-///
-/// A variable is live at a point if some path from the point reads it —
-/// appears as the root of a reference that is evaluated. There are no
-/// kills: redefinition does not end liveness, which costs precision but
-/// keeps the analysis trivially sound against the engine's
-/// field-granularity strong/weak kill rules.
-struct VarLiveness {
-    n_vars: usize,
-    /// Pre-computed use set per CFG node.
-    uses: Vec<BitSet>,
-}
-
-impl<'a> Transfer<'a> for VarLiveness {
-    type Fact = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-
-    fn boundary(&self) -> BitSet {
-        // Locals die with the frame. Escaping *targets* are tracked by
-        // the engine's unmap process, not by variable liveness.
-        BitSet::new(self.n_vars)
-    }
-
-    fn join(&self, into: &mut BitSet, from: &BitSet) -> bool {
-        into.union_with(from)
-    }
-
-    fn transfer(&mut self, ix: usize, _node: &NodeKind<'a>, fact: &mut BitSet) {
-        fact.union_with(&self.uses[ix]); // uses-only: no kills
-    }
-}
-
-/// The result of [`var_liveness`]: per-statement live-out variable
-/// sets plus convergence metadata.
-#[derive(Debug)]
-pub struct VarLivenessResult {
-    /// Live-out variables per program point (basic statements only).
-    pub live_out: BTreeMap<StmtId, BitSet>,
-    /// Solver metadata.
-    pub stats: SolveStats,
-}
-
-/// Computes syntactic uses-only liveness for one function body.
-pub fn var_liveness(f: &IrFunction) -> Option<VarLivenessResult> {
-    let body = f.body.as_ref()?;
-    let cfg = Cfg::build(body);
-    let n_vars = f.vars.len();
-    let uses: Vec<BitSet> = cfg
-        .nodes
-        .iter()
-        .map(|node| {
-            let mut u = BitSet::new(n_vars);
-            match node {
-                NodeKind::Basic(b, _) => basic_use_roots(b, &mut |v| {
-                    u.insert(v.0 as usize);
-                }),
-                NodeKind::Test(ops, _) => {
-                    for op in ops {
-                        op_use_roots(op, &mut |v| {
-                            u.insert(v.0 as usize);
-                        });
-                    }
-                }
-                _ => {}
-            }
-            u
-        })
-        .collect();
-    let mut problem = VarLiveness { n_vars, uses };
-    let sol = solve(&cfg, &mut problem, default_visit_budget(cfg.nodes.len()));
-    let mut live_out = BTreeMap::new();
-    for (i, node) in cfg.nodes.iter().enumerate() {
-        if let NodeKind::Basic(_, id) = node {
-            live_out.insert(*id, sol.after[i].clone().unwrap_or(BitSet::new(n_vars)));
-        }
-    }
-    Some(VarLivenessResult {
-        live_out,
-        stats: sol.stats,
-    })
-}
-
-/// The variables of `f` whose points-to pairs the engine may prune
-/// when dead: pointer-carrying locals and temporaries whose address is
-/// never taken. Such a variable can never be a points-to *target*, so
-/// its pairs are invisible to the map/unmap processes, to memo
-/// contexts, and to every resolution that does not read the variable
-/// itself. Parameters are excluded: their pairs participate in unmap.
-pub fn prunable_vars(ir: &IrProgram, f: &IrFunction) -> BitSet {
-    let mut prunable = BitSet::new(f.vars.len());
-    for (i, v) in f.vars.iter().enumerate() {
-        if matches!(v.kind, VarKind::Local | VarKind::Temp) && v.ty.carries_pointers(&ir.structs) {
-            prunable.insert(i);
-        }
-    }
-    // Remove anything address-taken, anywhere in the body.
-    if let Some(body) = &f.body {
-        body.for_each_basic(&mut |b, _| {
-            for_each_operand(b, &mut |op| {
-                if let Operand::AddrOf(VarRef::Path(p)) = op {
-                    if let VarBase::Var(v) = p.base {
-                        prunable.remove(v.0 as usize);
-                    }
-                }
-            });
-        });
-    }
-    prunable
-}
-
-/// A per-function mask for the engine's `prune_liveness` mode: which
-/// variables are prunable at all, and which are live after each basic
-/// statement.
-#[derive(Debug)]
-pub struct PruneMask {
-    /// Never-address-taken pointer-carrying locals/temps.
-    pub prunable: BitSet,
-    /// Live-out variables per basic statement.
-    pub live_out: BTreeMap<StmtId, BitSet>,
-    /// CFG nodes (for trace reporting).
-    pub nodes: usize,
-    /// Solver visits spent (for trace reporting).
-    pub visits: usize,
-}
-
-/// Builds the pruning mask for one function, or `None` when pruning
-/// cannot help (no body, nothing prunable) or cannot be trusted (the
-/// liveness solve ran out of visits).
-pub fn prune_mask(ir: &IrProgram, f: &IrFunction) -> Option<PruneMask> {
-    let prunable = prunable_vars(ir, f);
-    if prunable.is_empty() {
-        return None;
-    }
-    let live = var_liveness(f)?;
-    if !live.stats.converged {
-        return None;
-    }
-    Some(PruneMask {
-        prunable,
-        live_out: live.live_out,
-        nodes: live.stats.nodes,
-        visits: live.stats.visits,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1703,58 +1484,6 @@ mod tests {
                 assert!(cfg.preds[s].contains(&n));
             }
         }
-    }
-
-    #[test]
-    fn var_liveness_sees_loop_back_edges() {
-        let (ir, fid) = cfg_of(
-            "int main(void) {
-                 int i; int s; s = 0;
-                 for (i = 0; i < 4; i = i + 1) { s = s + i; }
-                 return s;
-             }",
-            "main",
-        );
-        let f = ir.function(fid);
-        let live = var_liveness(f).expect("has body");
-        assert!(live.stats.converged);
-        let i_var = f.vars.iter().position(|v| v.name == "i").unwrap();
-        let s_var = f.vars.iter().position(|v| v.name == "s").unwrap();
-        // After `s = s + i` (inside the loop), both i (next test/step)
-        // and s (next iteration + return) are live.
-        let mut body_store = None;
-        f.body.as_ref().unwrap().for_each_basic(&mut |b, id| {
-            if let BasicStmt::Binary { a, .. } = b {
-                if matches!(a, Operand::Ref(VarRef::Path(p))
-                    if p.base == VarBase::Var(IrVarId(s_var as u32)))
-                {
-                    body_store = Some(id);
-                }
-            }
-        });
-        let id = body_store.expect("s = s + i present");
-        let out = &live.live_out[&id];
-        assert!(out.contains(i_var), "i live across the back edge");
-        assert!(out.contains(s_var), "s live into the next iteration");
-    }
-
-    #[test]
-    fn prunable_excludes_params_and_address_taken() {
-        let (ir, fid) = cfg_of(
-            "int g;
-             void take(int **pp) { *pp = &g; }
-             int main(void) { int *a; int *b; int *c; take(&b); a = &g; c = a; return *c; }",
-            "main",
-        );
-        let f = ir.function(fid);
-        let p = prunable_vars(&ir, f);
-        let pos = |n: &str| f.vars.iter().position(|v| v.name == n).unwrap();
-        assert!(p.contains(pos("a")), "plain local pointer is prunable");
-        assert!(!p.contains(pos("b")), "address-taken local is not");
-        assert!(p.contains(pos("c")));
-        let (_, take) = ir.function_by_name("take").unwrap();
-        let tp = prunable_vars(&ir, take);
-        assert!(!tp.contains(0), "parameters are never prunable");
     }
 
     #[test]

@@ -152,7 +152,9 @@ pub fn config(c: &AnalysisConfig) -> u64 {
     h.write_u64(c.deadline.map_or(u64::MAX, |d| d.as_millis() as u64));
     h.write_u64(c.max_pt_pairs as u64);
     h.write_u64(u64::from(c.max_map_depth));
-    h.write_u64(u64::from(c.prune_liveness));
+    // A retired boolean knob (always off) keeps its slot, so snapshots
+    // saved before its removal still match under the same settings.
+    h.write_u64(0);
     match &c.demand {
         None => h.write_u64(u64::MAX),
         Some(d) => {
@@ -248,10 +250,6 @@ mod tests {
             },
             AnalysisConfig {
                 deadline: Some(std::time::Duration::from_millis(5)),
-                ..base.clone()
-            },
-            AnalysisConfig {
-                prune_liveness: true,
                 ..base.clone()
             },
             AnalysisConfig {

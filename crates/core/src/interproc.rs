@@ -150,12 +150,6 @@ impl<'p> Analyzer<'p> {
             self.ig.node_mut(rec).pending.push(func_input);
             return Ok(None); // ⊥
         }
-        // Summary engine: every evaluation of a body node is one
-        // summary instantiation (context applied at a call site).
-        if self.summary.is_some() {
-            let f = self.ig.node(node).func;
-            self.summary_count_call(f);
-        }
         // Ordinary or Recursive node: memo check.
         {
             let n = self.ig.node(node);
@@ -184,8 +178,7 @@ impl<'p> Analyzer<'p> {
             // graft so the hit works by reference: a context pair can
             // carry a large fragment and capture, and deep-cloning them
             // per hit would spend a significant slice of what the hit
-            // saves (the summary engine serves every repeated context
-            // through this path).
+            // saves.
             let seeds = std::mem::take(&mut self.seeds);
             let pair = seeds.find(func, &func_input).expect("checked above");
             if self.tracer.enabled() {
@@ -231,9 +224,6 @@ impl<'p> Analyzer<'p> {
             self.cap_replay(&pair.capture);
             let out = pair.output.clone();
             self.seed_hits += 1;
-            if self.summary.is_some() {
-                self.summary_count_hit(func);
-            }
             self.seeds = seeds;
             return Ok(out);
         }
@@ -307,12 +297,6 @@ impl<'p> Analyzer<'p> {
                 n.stored_output = out.clone();
                 n.memo_valid = true;
                 self.cap_pop(node);
-                // Summary engine: publish this context pair to the
-                // program-wide memo so any other call site producing
-                // the same input replays it (see `crate::summary`).
-                if self.summary.is_some() {
-                    self.summary_seed(node, func, &out);
-                }
                 self.emit_ig_exit(node, &out, rounds);
                 return Ok(out);
             }
@@ -536,12 +520,6 @@ impl<'p> Analyzer<'p> {
                 self.ir.function(caller).name
             ));
             return Ok(Some(input));
-        }
-        // Summary engine: remember the points-to-resolved targets of
-        // this site so the post-run re-composition can fold their
-        // summaries into the hole.
-        if let Some(ctx) = self.summary.as_mut() {
-            ctx.note_resolved(cs, &fns);
         }
         let l = {
             let mut env = self.renv(caller);

@@ -264,12 +264,7 @@ impl<'p> Analyzer<'p> {
             let pairs = input.len();
             let t0 = std::time::Instant::now();
             self.record(id, &input);
-            let mut out = self.process_basic_kernel(func, node, b, id, input);
-            if self.config.prune_liveness {
-                if let Ok(o) = &mut out {
-                    self.prune_flow(func, id, &mut o.normal);
-                }
-            }
+            let out = self.process_basic_kernel(func, node, b, id, input);
             // For call statements the duration includes the nested call
             // processing (map, callee body, unmap).
             let dur_us = t0.elapsed().as_micros() as u64;
@@ -283,75 +278,7 @@ impl<'p> Analyzer<'p> {
             return out;
         }
         self.record(id, &input);
-        let mut out = self.process_basic_kernel(func, node, b, id, input);
-        if self.config.prune_liveness {
-            if let Ok(o) = &mut out {
-                self.prune_flow(func, id, &mut o.normal);
-            }
-        }
-        out
-    }
-
-    /// The `prune_liveness` hook: drops pairs sourced at a dead,
-    /// never-address-taken local from a statement's fall-through flow.
-    /// Only the *normal* edge is pruned — `return` states feed the
-    /// function's exit set (queried by clients) and unmap discards
-    /// callee locals anyway. Pairs whose source is not a frame variable
-    /// of `func` (globals, symbolics, heap, other frames) always
-    /// survive, as do pairs sourced under an address-taken or parameter
-    /// root, so every resolution at a *use* point sees the exhaustive
-    /// answer.
-    fn prune_flow(&mut self, func: FuncId, id: StmtId, flow: &mut Flow) {
-        self.ensure_prune_mask(func);
-        let Some(set) = flow.as_mut() else { return };
-        let (seen, pruned) = {
-            let Some(mask) = self.prune_masks.get(&func).and_then(|m| m.as_ref()) else {
-                return;
-            };
-            let Some(live) = mask.live_out.get(&id) else {
-                return;
-            };
-            let before = set.len();
-            let locs = &self.locs;
-            set.retain(|src, _, _| match &locs.get(src).base {
-                crate::location::LocBase::Var(g, v) if *g == func => {
-                    let i = v.0 as usize;
-                    // Keep the pair unless its source is provably dead.
-                    !mask.prunable.contains(i) || live.contains(i)
-                }
-                _ => true,
-            });
-            (before as u64, (before - set.len()) as u64)
-        };
-        self.prune.seen_pairs += seen;
-        self.prune.pruned_pairs += pruned;
-    }
-
-    /// Builds (once per function) the liveness mask `prune_flow` uses.
-    fn ensure_prune_mask(&mut self, func: FuncId) {
-        if self.prune_masks.contains_key(&func) {
-            return;
-        }
-        let f = self.ir.function(func);
-        let mask = crate::dataflow::prune_mask(self.ir, f);
-        match &mask {
-            Some(m) => {
-                self.prune.funcs_analyzed += 1;
-                if self.tracer.enabled() {
-                    let (name, prunable, nodes, visits) =
-                        (f.name.clone(), m.prunable.count(), m.nodes, m.visits);
-                    self.tracer.emit(|| TraceEvent::Dataflow {
-                        func: name,
-                        prunable,
-                        nodes,
-                        visits,
-                        converged: true,
-                    });
-                }
-            }
-            None => self.prune.funcs_skipped += 1,
-        }
-        self.prune_masks.insert(func, mask);
+        self.process_basic_kernel(func, node, b, id, input)
     }
 
     fn process_basic_kernel(

@@ -148,13 +148,6 @@ impl Rep {
         }
     }
 
-    fn truncate(&mut self, n: usize) {
-        match self {
-            Rep::Inline { len, .. } => *len = (*len).min(n as u8),
-            Rep::Spilled(v) => v.truncate(n),
-        }
-    }
-
     fn from_sorted(v: Vec<u64>) -> Self {
         if v.len() <= INLINE {
             let mut buf = [0u64; INLINE];
@@ -421,20 +414,6 @@ impl PtSet {
             Some(src)
         })
     }
-
-    /// Retains only the triples satisfying the predicate.
-    pub fn retain(&mut self, mut pred: impl FnMut(LocId, LocId, Def) -> bool) {
-        let s = self.rep.as_mut_slice();
-        let mut w = 0;
-        for r in 0..s.len() {
-            let e = s[r];
-            if pred(unpack_src(e), unpack_tgt(e), unpack_def(e)) {
-                s[w] = e;
-                w += 1;
-            }
-        }
-        self.rep.truncate(w);
-    }
 }
 
 impl FromIterator<(LocId, LocId, Def)> for PtSet {
@@ -597,16 +576,6 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.get(l(2), l(3)), Some(Def::D));
         assert_eq!(a.get(l(0), l(1)), Some(Def::D));
-    }
-
-    #[test]
-    fn retain_filters() {
-        let mut s = PtSet::new();
-        s.insert(l(0), l(1), Def::D);
-        s.insert(l(2), l(3), Def::P);
-        s.retain(|_, _, d| d == Def::D);
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(l(0), l(1)));
     }
 
     // ---- packed-representation specifics --------------------------------

@@ -176,22 +176,6 @@ pub enum TraceEvent {
         /// Wall-clock time since the budget started, in microseconds.
         elapsed_us: u64,
     },
-    /// A liveness mask was computed for a function (`prune_liveness`
-    /// mode; emitted once per function, at first entry).
-    Dataflow {
-        /// The function.
-        func: String,
-        /// Prunable (never-address-taken pointer-carrying) variables.
-        prunable: usize,
-        /// CFG nodes the solver ran over.
-        nodes: usize,
-        /// Worklist visits spent.
-        visits: usize,
-        /// The solve converged within its visit budget (always true for
-        /// emitted events — non-converged masks are discarded and the
-        /// function is skipped).
-        converged: bool,
-    },
     /// A demand-sliced run started (emitted right after
     /// `analysis_start` when [`crate::demand`] planned a slice).
     Demand {
@@ -213,26 +197,6 @@ pub enum TraceEvent {
         to: &'static str,
         /// The budget error that pushed the ladder down.
         reason: String,
-    },
-    /// One function's summary-engine report (emitted once per defined
-    /// function, in bottom-up composition order, just before
-    /// `analysis_end`; [`crate::summary`] runs only).
-    Summary {
-        /// The summarized function.
-        func: String,
-        /// Position in the bottom-up composition order.
-        order: usize,
-        /// Size of the function's SCC in the conservative call graph
-        /// (> 1 means a recursive knot iterated to a fixed point).
-        scc_size: usize,
-        /// GPG edges in the composed summary.
-        edges: usize,
-        /// Indirect call sites still unresolved after re-composition.
-        holes: usize,
-        /// Calling contexts instantiated during the run.
-        instantiations: u64,
-        /// Contexts served from the program-wide context-pair memo.
-        memo_hits: u64,
     },
 }
 
@@ -311,28 +275,12 @@ pub const EVENT_SPECS: &[EventSpec] = &[
         fields: &["steps", "elapsed_us"],
     },
     EventSpec {
-        kind: "dataflow",
-        fields: &["func", "prunable", "nodes", "visits", "converged"],
-    },
-    EventSpec {
         kind: "demand",
         fields: &["roots", "slice_functions", "reachable_functions", "widened"],
     },
     EventSpec {
         kind: "rung",
         fields: &["from", "to", "reason"],
-    },
-    EventSpec {
-        kind: "summary",
-        fields: &[
-            "func",
-            "order",
-            "scc_size",
-            "edges",
-            "holes",
-            "instantiations",
-            "memo_hits",
-        ],
     },
 ];
 
@@ -351,10 +299,8 @@ impl TraceEvent {
             TraceEvent::Unmap { .. } => "unmap",
             TraceEvent::Stmt { .. } => "stmt",
             TraceEvent::BudgetTick { .. } => "budget_tick",
-            TraceEvent::Dataflow { .. } => "dataflow",
             TraceEvent::Demand { .. } => "demand",
             TraceEvent::Rung { .. } => "rung",
-            TraceEvent::Summary { .. } => "summary",
         }
     }
 }
@@ -676,20 +622,6 @@ pub fn render_jsonl(ts_us: u64, ev: &TraceEvent, scrub: bool) -> String {
         TraceEvent::BudgetTick { steps, elapsed_us } => {
             let _ = write!(s, ",\"steps\":{steps},\"elapsed_us\":{}", t(*elapsed_us));
         }
-        TraceEvent::Dataflow {
-            func,
-            prunable,
-            nodes,
-            visits,
-            converged,
-        } => {
-            let _ = write!(
-                s,
-                ",\"func\":\"{}\",\"prunable\":{prunable},\"nodes\":{nodes},\
-                 \"visits\":{visits},\"converged\":{converged}",
-                json_escape(func)
-            );
-        }
         TraceEvent::Demand {
             roots,
             slice_functions,
@@ -707,23 +639,6 @@ pub fn render_jsonl(ts_us: u64, ev: &TraceEvent, scrub: bool) -> String {
                 s,
                 ",\"from\":\"{from}\",\"to\":\"{to}\",\"reason\":\"{}\"",
                 json_escape(reason)
-            );
-        }
-        TraceEvent::Summary {
-            func,
-            order,
-            scc_size,
-            edges,
-            holes,
-            instantiations,
-            memo_hits,
-        } => {
-            let _ = write!(
-                s,
-                ",\"func\":\"{}\",\"order\":{order},\"scc_size\":{scc_size},\
-                 \"edges\":{edges},\"holes\":{holes},\"instantiations\":{instantiations},\
-                 \"memo_hits\":{memo_hits}",
-                json_escape(func)
             );
         }
     }
@@ -947,18 +862,6 @@ impl TraceSink for ChromeTraceSink {
             TraceEvent::BudgetTick { steps, .. } => {
                 self.push('C', "steps", ts_us, None, &format!("\"steps\":{steps}"))
             }
-            TraceEvent::Dataflow {
-                func,
-                prunable,
-                visits,
-                ..
-            } => self.push(
-                'i',
-                &format!("dataflow:{func}"),
-                ts_us,
-                None,
-                &format!("\"prunable\":{prunable},\"visits\":{visits}"),
-            ),
             TraceEvent::Demand {
                 slice_functions,
                 reachable_functions,
@@ -979,25 +882,6 @@ impl TraceSink for ChromeTraceSink {
                 ts_us,
                 None,
                 &format!("\"reason\":\"{}\"", json_escape(reason)),
-            ),
-            TraceEvent::Summary {
-                func,
-                order,
-                scc_size,
-                edges,
-                holes,
-                instantiations,
-                memo_hits,
-            } => self.push(
-                'i',
-                &format!("summary:{func}"),
-                ts_us,
-                None,
-                &format!(
-                    "\"order\":{order},\"scc_size\":{scc_size},\"edges\":{edges},\
-                     \"holes\":{holes},\"instantiations\":{instantiations},\
-                     \"memo_hits\":{memo_hits}"
-                ),
             ),
         }
     }
@@ -1070,10 +954,6 @@ pub struct TraceMetrics {
     pub stmt_events: u64,
     /// Budget heartbeats observed.
     pub budget_ticks: u64,
-    /// Functions a `prune_liveness` mask was built for.
-    pub dataflow_funcs: u64,
-    /// Liveness-solver visits summed over those masks.
-    pub dataflow_visits: u64,
     /// Demand-sliced runs observed.
     pub demand_runs: u64,
     /// Slice size (functions) summed over those runs.
@@ -1095,16 +975,6 @@ pub struct TraceMetrics {
     pub completed: bool,
     /// Ladder transitions, in order: `(from, to, reason)`.
     pub rungs: Vec<(String, String, String)>,
-    /// Functions reported by the summary engine (`summary` events).
-    pub summary_funcs: u64,
-    /// GPG edges summed over those reports.
-    pub summary_edges: u64,
-    /// Unresolved indirect-call holes summed over those reports.
-    pub summary_holes: u64,
-    /// Calling contexts instantiated, summed over those reports.
-    pub summary_instantiations: u64,
-    /// Contexts served from the summary memo, summed over the reports.
-    pub summary_memo_hits: u64,
     /// Total microseconds in statement transfers (non-deterministic).
     pub stmt_us: u64,
     /// Total microseconds in map processes (non-deterministic).
@@ -1303,10 +1173,6 @@ impl TraceSink for TraceMetrics {
                 f.stmt_us += dur_us;
             }
             TraceEvent::BudgetTick { .. } => self.budget_ticks += 1,
-            TraceEvent::Dataflow { visits, .. } => {
-                self.dataflow_funcs += 1;
-                self.dataflow_visits += *visits as u64;
-            }
             TraceEvent::Demand {
                 slice_functions, ..
             } => {
@@ -1316,19 +1182,6 @@ impl TraceSink for TraceMetrics {
             TraceEvent::Rung { from, to, reason } => {
                 self.rungs
                     .push(((*from).to_owned(), (*to).to_owned(), reason.clone()));
-            }
-            TraceEvent::Summary {
-                edges,
-                holes,
-                instantiations,
-                memo_hits,
-                ..
-            } => {
-                self.summary_funcs += 1;
-                self.summary_edges += *edges as u64;
-                self.summary_holes += *holes as u64;
-                self.summary_instantiations += instantiations;
-                self.summary_memo_hits += memo_hits;
             }
         }
     }
@@ -1384,7 +1237,12 @@ impl<'a> Tracer<'a> {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal (without the
+/// surrounding quotes): quote, backslash, `\n`, `\r` and `\t` get
+/// their short escapes, other control characters `\u00XX`. The
+/// workspace's one string escaper: `pta_store::json::escape` wraps it
+/// in quotes.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -1477,13 +1335,6 @@ mod tests {
                 steps: 64,
                 elapsed_us: 1,
             },
-            TraceEvent::Dataflow {
-                func: "f".into(),
-                prunable: 2,
-                nodes: 5,
-                visits: 9,
-                converged: true,
-            },
             TraceEvent::Demand {
                 roots: 1,
                 slice_functions: 3,
@@ -1494,15 +1345,6 @@ mod tests {
                 from: "context-sensitive",
                 to: "context-insensitive",
                 reason: "over budget".into(),
-            },
-            TraceEvent::Summary {
-                func: "f".into(),
-                order: 0,
-                scc_size: 1,
-                edges: 2,
-                holes: 0,
-                instantiations: 3,
-                memo_hits: 1,
             },
         ];
         assert_eq!(reps.len(), EVENT_SPECS.len());

@@ -14,6 +14,7 @@
 
 use crate::runner::FileReport;
 use crate::{Diagnostic, DiagnosticCounts};
+use pta_core::trace::json_escape;
 use std::fmt::Write as _;
 
 /// Renders file reports the way compilers do:
@@ -120,24 +121,6 @@ fn diagnostic_json(d: &Diagnostic) -> String {
         d.span.col,
         json_escape(&d.message),
     )
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -16,10 +16,9 @@
 //!   (`max_ig_nodes`, `max_steps`);
 //! - **call fan-out** ([`call_fanout`]) — many distinct call sites
 //!   handing one worker function the *same* calling context; the
-//!   invocation-graph engine re-analyses the worker at every site while
-//!   the summary engine replays it from its context memo, so this
-//!   family is the E19 scaling axis where summaries overtake
-//!   per-invocation re-analysis;
+//!   invocation-graph engine re-analyses the worker at every site (the
+//!   per-node memo serves only repeats at one node), so this family
+//!   measures the cost of re-analysis per call site;
 //! - **random mix** ([`random_mix`]) — a seeded combination with
 //!   aliasing noise, for coverage beyond the crafted families.
 //!
@@ -113,9 +112,8 @@ pub fn wide_indirect(n: usize) -> String {
 /// with main invoking every caller. The worker's body is deliberately
 /// heavy — a 40-step alias shuffle re-run inside a loop through a rank
 /// of pointer-to-pointer cursors, so the intra-procedural fixpoint
-/// takes several rounds — and re-analysing it per call site costs far
-/// more than replaying a stored context pair: the per-invocation
-/// engine pays that cost `n` times, the summary engine once. `n ≥ 1`.
+/// takes several rounds — and the invocation-graph engine pays that
+/// cost once per call site. `n ≥ 1`.
 pub fn call_fanout(n: usize) -> String {
     let n = n.max(1);
     let mut s = String::new();

@@ -14,6 +14,7 @@
 //! replay it exactly.
 
 use crate::{case_seed, cgen, Rng};
+use pta_core::trace::json_escape;
 use pta_core::{AnalysisConfig, Fidelity};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,10 +75,6 @@ pub struct CaseReport {
     /// Whether the case was additionally answered in demand mode and
     /// checked against the exhaustive facts (every third case).
     pub demand: bool,
-    /// Whether the case was routed through the summary engine and its
-    /// answers gated as a sound superset of the invocation-graph facts
-    /// (every third case, offset from the demand probes).
-    pub summary: bool,
     /// The outcome.
     pub outcome: CaseOutcome,
     /// Wall-clock time for the case.
@@ -146,12 +143,11 @@ impl StressSummary {
             };
             let _ = writeln!(
                 out,
-                "  case {} [{}{}{}{}] seed {:#x}: {msg}",
+                "  case {} [{}{}{}] seed {:#x}: {msg}",
                 r.case,
                 r.family,
                 if r.tight { ", tight" } else { "" },
                 if r.demand { ", demand" } else { "" },
-                if r.summary { ", summary" } else { "" },
                 r.seed,
             );
         }
@@ -182,13 +178,12 @@ impl StressSummary {
             };
             let _ = write!(
                 out,
-                "{{\"case\":{},\"seed\":\"{:#x}\",\"family\":\"{}\",\"tight\":{},\"demand\":{},\"summary\":{},\"status\":\"{status}\",\"detail\":\"{}\",\"ms\":{}}}",
+                "{{\"case\":{},\"seed\":\"{:#x}\",\"family\":\"{}\",\"tight\":{},\"demand\":{},\"status\":\"{status}\",\"detail\":\"{}\",\"ms\":{}}}",
                 r.case,
                 r.seed,
                 r.family,
                 r.tight,
                 r.demand,
-                r.summary,
                 json_escape(&detail),
                 r.elapsed.as_millis(),
             );
@@ -196,22 +191,6 @@ impl StressSummary {
         out.push_str("]}");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs one generated program under the given budgets and classifies
@@ -308,36 +287,6 @@ pub fn demand_divergence(source: &str, deadline_ms: u64) -> Option<String> {
     None
 }
 
-/// Summary-engine soundness probe: run the invocation-graph engine and
-/// the summary engine on the same program and require the summary
-/// answers to be a sound superset of the reference facts — pointwise,
-/// at every program point and at exit (in practice the two engines are
-/// byte-identical; the gate only demands soundness so a budget-induced
-/// wall-clock race can never fail it spuriously). Budget trips on
-/// either side skip the probe. Returns the violation, `None` when the
-/// case is sound (or unprobeable).
-pub fn summary_divergence(source: &str, deadline_ms: u64) -> Option<String> {
-    let ir = pta_simple::compile(source).ok()?; // invalid input: nothing to probe
-    let config = AnalysisConfig {
-        deadline: Some(Duration::from_millis(deadline_ms)),
-        ..AnalysisConfig::default()
-    };
-    let reference = pta_core::analyze_with(&ir, config.clone()).ok()?;
-    let candidate = match pta_core::analyze_summary(&ir, config) {
-        Ok(r) => r,
-        Err(e) if e.budget_kind().is_some() => return None,
-        Err(e) => return Some(format!("summary engine failed: {e}")),
-    };
-    if !pta_core::sound_superset(&reference, &candidate) {
-        return Some(
-            "summary-engine facts are not a sound superset of the \
-             invocation-graph facts"
-                .to_owned(),
-        );
-    }
-    None
-}
-
 fn is_budget_error(e: &pta_core::PtaError) -> bool {
     match e {
         pta_core::PtaError::Analysis(a) => a.budget_kind().is_some(),
@@ -370,22 +319,9 @@ pub fn run_stress(cfg: &StressConfig) -> StressSummary {
         // Every other case gets a tight step budget to force the
         // ladder; the rest run with only the deadline as a backstop.
         let tight = case % 2 == 1;
-        // Every third case (offset from the demand probes) routes its
-        // resilient run through the summary engine and gates the
-        // answers as a sound superset of the invocation-graph facts.
-        let summary = case % 3 == 1;
         let config = AnalysisConfig {
             deadline: Some(Duration::from_millis(cfg.deadline_ms)),
             max_steps: if tight { cfg.tight_steps } else { u64::MAX },
-            // Every third case runs with liveness pruning so the
-            // stress corpus exercises the pruned engine path (and its
-            // interaction with the ladder) end to end.
-            prune_liveness: case % 3 == 0,
-            engine: if summary {
-                pta_core::Engine::Summary
-            } else {
-                pta_core::Engine::InvocationGraph
-            },
             ..AnalysisConfig::default()
         };
         // Every third case is additionally answered demand-driven and
@@ -400,18 +336,12 @@ pub fn run_stress(cfg: &StressConfig) -> StressSummary {
                 outcome = CaseOutcome::Failed(format!("demand mode: {msg}"));
             }
         }
-        if summary && matches!(outcome, CaseOutcome::Analysed(_)) {
-            if let Some(msg) = summary_divergence(&source, cfg.deadline_ms) {
-                outcome = CaseOutcome::Failed(format!("summary engine: {msg}"));
-            }
-        }
         reports.push(CaseReport {
             case,
             seed,
             family,
             tight,
             demand,
-            summary,
             outcome,
             elapsed: t0.elapsed(),
         });
@@ -439,19 +369,8 @@ mod tests {
         // degradation ladder at least once.
         assert!(summary.full() > 0, "{}", summary.render());
         assert!(summary.degraded() > 0, "{}", summary.render());
-        // Every third case ran the demand-equivalence probe, and every
-        // third (offset) went through the summary engine.
+        // Every third case ran the demand-equivalence probe.
         assert_eq!(summary.reports.iter().filter(|r| r.demand).count(), 5);
-        assert_eq!(summary.reports.iter().filter(|r| r.summary).count(), 5);
-    }
-
-    #[test]
-    fn summary_probe_finds_no_divergence_on_generated_programs() {
-        for family in ["call-fanout", "fnptr-knot", "wide-indirect"] {
-            let mut g = Rng::new(0x5eed);
-            let source = cgen::generate(family, &mut g);
-            assert_eq!(summary_divergence(&source, 5_000), None, "{family}");
-        }
     }
 
     #[test]

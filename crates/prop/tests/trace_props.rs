@@ -104,82 +104,6 @@ fn scrubbed_traces_are_deterministic_and_schema_valid() {
 }
 
 #[test]
-fn summary_engine_tracing_never_changes_results() {
-    // The 15th event kind (`summary`) is emitted by the summary engine
-    // only; observing it must be as side-effect free as the rest of
-    // the trace layer. Compare an untraced summary run against a
-    // traced one (which also exercises the per-function summary
-    // events) on every generated family.
-    let mut case = 0u32;
-    check_seeded(
-        "summary-trace-transparency",
-        pta_prop::DEFAULT_SEED,
-        15,
-        &mut |g| {
-            let src = source_for(g, case);
-            case += 1;
-            let Ok(ir) = pta_simple::compile(&src) else {
-                return;
-            };
-            let plain = pta_core::analyze_summary(&ir, AnalysisConfig::default());
-            let mut metrics = TraceMetrics::new();
-            let traced =
-                pta_core::analyze_summary_traced(&ir, AnalysisConfig::default(), &mut metrics);
-            match (plain, traced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        format!("{:?}", a.per_stmt),
-                        format!("{:?}", b.per_stmt),
-                        "per-statement facts diverged under summary tracing:\n{src}"
-                    );
-                    assert_eq!(
-                        format!("{:?}", a.exit_set),
-                        format!("{:?}", b.exit_set),
-                        "exit set diverged under summary tracing:\n{src}"
-                    );
-                    assert_eq!(a.warnings, b.warnings, "warnings diverged:\n{src}");
-                    let _ = metrics.summary_funcs;
-                }
-                (Err(ea), Err(eb)) => {
-                    assert_eq!(
-                        ea.to_string(),
-                        eb.to_string(),
-                        "failure mode diverged under summary tracing:\n{src}"
-                    );
-                }
-                (a, b) => panic!(
-                    "summary tracing flipped success/failure: plain={:?} traced={:?}\n{src}",
-                    a.map(|_| ()),
-                    b.map(|_| ()),
-                ),
-            }
-        },
-    );
-}
-
-#[test]
-fn summary_runs_emit_the_summary_event_kind() {
-    // At least one generated program must actually produce `summary`
-    // events, so the transparency property above is not vacuous.
-    let mut saw_summary = false;
-    for case in 0..20u32 {
-        let mut g = Rng::new(case_seed(pta_prop::DEFAULT_SEED, case));
-        let src = source_for(&mut g, case);
-        let Ok(ir) = pta_simple::compile(&src) else {
-            continue;
-        };
-        let mut m = TraceMetrics::new();
-        if pta_core::analyze_summary_traced(&ir, AnalysisConfig::default(), &mut m).is_ok()
-            && m.summary_funcs > 0
-        {
-            saw_summary = true;
-            break;
-        }
-    }
-    assert!(saw_summary, "corpus never produced a `summary` trace event");
-}
-
-#[test]
 fn seeded_corpus_produces_memo_traffic() {
     // Make sure the generated corpus actually exercises the memo
     // counters at least somewhere, so the transparency property above

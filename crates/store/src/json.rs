@@ -126,25 +126,9 @@ impl Json {
     }
 }
 
-/// Escapes a string as a JSON string literal.
+/// Escapes a string as a JSON string literal (quotes included).
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", pta_core::trace::json_escape(s))
 }
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.

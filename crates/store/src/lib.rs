@@ -439,7 +439,6 @@ pub fn reload_result(snap: &Snapshot) -> Result<AnalysisResult, StoreError> {
         exit_set: snap.exit_set.clone(),
         warnings: snap.warnings.clone(),
         escapes: snap.escapes.clone(),
-        prune: Default::default(),
     })
 }
 

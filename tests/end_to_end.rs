@@ -44,6 +44,33 @@ fn suite_summary_matches_paper_shape() {
     assert!(s.pct_heap > 0.0 && s.pct_heap < 60.0, "{s:?}");
 }
 
+/// Every deterministic section of `report all` (Tables 2–6, the §6
+/// aggregates, the livc study, the heap-site extension and the
+/// ablation) is byte-identical to the checked-in golden, both serially
+/// and with the default worker count. After an intended change to a
+/// table, regenerate the golden with
+/// `cargo run --release -p pta-benchsuite --bin report -- all > tests/programs/report_all.expected`.
+#[test]
+fn report_all_matches_its_golden() {
+    let golden = include_str!("programs/report_all.expected");
+    for jobs in [1, benchsuite::default_jobs()] {
+        let suite = report::run_benchmarks_store(
+            benchsuite::SUITE,
+            jobs,
+            pta::core::AnalysisConfig::default(),
+            false,
+            None,
+        );
+        let (studies, errors) = report::render_studies(jobs, |_| true);
+        assert!(errors.is_empty(), "jobs={jobs}: {errors:?}");
+        let out = suite.render_tables(|_| true) + &studies;
+        for (i, (got, want)) in out.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "jobs={jobs}: line {} differs", i + 1);
+        }
+        assert_eq!(out, golden, "jobs={jobs}: line count or line ends differ");
+    }
+}
+
 #[test]
 fn livc_invocation_graph_comparison() {
     let s = report::livc_study().expect("livc study");
@@ -180,83 +207,6 @@ fn builder_constructed_ir_analyzes() {
     assert_eq!(pairs, vec![("p".to_string(), "x".to_string())]);
 }
 
-#[test]
-fn prune_liveness_is_equivalence_preserving_on_the_suite() {
-    // The pruned engine drops pairs for dead frame-local pointers.
-    // Everything a caller or a query can still observe — globals,
-    // parameters, every pointer actually read — must resolve exactly
-    // as in the exhaustive engine, and the pruned exit set can only
-    // shrink, never grow. The prune counters must show the mode
-    // actually did work somewhere on the suite.
-    use pta::core::AnalysisConfig;
-    let mut pruned_somewhere = false;
-    for b in benchsuite::SUITE {
-        let Ok(base) = pta::core::run_source(b.source) else {
-            continue; // resilient rows are covered by the suite tests
-        };
-        let pruned = pta::core::run_source_with(
-            b.source,
-            AnalysisConfig {
-                prune_liveness: true,
-                ..AnalysisConfig::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: pruned run failed: {e}", b.name));
-        assert!(pruned.result.prune.enabled, "{}: stats not enabled", b.name);
-        pruned_somewhere |= pruned.result.prune.pruned_pairs > 0;
-        // Globals and parameters are never prunable, so their exit
-        // resolutions must be exact.
-        for g in &base.ir.globals {
-            assert_eq!(
-                base.exit_targets_of("main", &g.name),
-                pruned.exit_targets_of("main", &g.name),
-                "{}: exit targets diverged for global `{}`",
-                b.name,
-                g.name,
-            );
-        }
-        for (_, f) in base.ir.defined_functions() {
-            for v in &f.vars[..f.n_params] {
-                assert_eq!(
-                    base.exit_targets_of(&f.name, &v.name),
-                    pruned.exit_targets_of(&f.name, &v.name),
-                    "{}: exit targets diverged for param `{}::{}`",
-                    b.name,
-                    f.name,
-                    v.name,
-                );
-            }
-        }
-        // The pruned exit set may drop pairs whose source is a local
-        // dead at exit (that is the mode's contract) but must never
-        // invent a pair the exhaustive engine lacks.
-        let named = |p: &pta::core::Pta| -> std::collections::BTreeSet<(String, String, bool)> {
-            p.result
-                .exit_set
-                .iter()
-                .map(|(s, t, d)| {
-                    (
-                        p.result.locs.name(s).to_owned(),
-                        p.result.locs.name(t).to_owned(),
-                        d == pta::core::Def::D,
-                    )
-                })
-                .collect()
-        };
-        let (be, pe) = (named(&base), named(&pruned));
-        assert!(
-            pe.is_subset(&be),
-            "{}: pruned exit set invented pairs: {:?}",
-            b.name,
-            pe.difference(&be).collect::<Vec<_>>()
-        );
-    }
-    assert!(
-        pruned_somewhere,
-        "no benchmark had a single prunable pair: the mode is a no-op"
-    );
-}
-
 /// The demand-driven equivalence guarantee (docs/QUERIES.md): on every
 /// suite benchmark, a [`pta_store::DemandEngine`] answers the full
 /// query mix — rooted point queries, whole-program queries, and
@@ -341,86 +291,10 @@ fn demand_serving_is_byte_identical_on_every_benchmark() {
     assert!(sliced_total > 0, "no query was ever answered from a slice");
 }
 
-/// The summary engine's suite-wide guarantee (DESIGN.md §11): it
-/// completes on every benchmark, and its answers are a sound
-/// over-approximation (pointwise ⊇ on named facts, definiteness may
-/// only weaken D → P) of the invocation-graph engine's. On benchmarks
-/// whose conservative call graph is recursion-free and direct-call
-/// only, the answers must be identical, not merely a superset.
-#[test]
-fn summary_engine_is_sound_on_every_benchmark() {
-    use pta::core::AnalysisConfig;
-    let mut completed = 0;
-    let mut identical_somewhere = false;
-    for b in benchsuite::SUITE {
-        let Ok(ir) = pta::simple::compile(b.source) else {
-            continue; // front-end rejections are covered by suite tests
-        };
-        let ig = pta::core::analyze_with(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("{}: invocation-graph engine failed: {e}", b.name));
-        let su = pta::core::analyze_summary(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("{}: summary engine failed: {e}", b.name));
-        completed += 1;
-        assert!(
-            pta::core::sound_superset(&ig, &su),
-            "{}: summary answers are not a sound superset of IG answers",
-            b.name
-        );
-        let cg = pta::core::CallGraph::build(&ir);
-        let rec_free = cg.recursion_free();
-        let direct_only = cg.calls.values().flatten().all(|c| !c.indirect);
-        let all_rec_free = ir.defined_functions().all(|(f, _)| rec_free.contains(&f));
-        if direct_only && all_rec_free {
-            assert_eq!(
-                pta::core::named_facts(&ig),
-                pta::core::named_facts(&su),
-                "{}: recursion-free direct-call benchmark diverged across engines",
-                b.name
-            );
-            identical_somewhere = true;
-        }
-    }
-    assert_eq!(
-        completed,
-        benchsuite::SUITE.len(),
-        "summary engine skipped benchmarks"
-    );
-    assert!(
-        identical_somewhere,
-        "no benchmark exercised the byte-equality half of the gate"
-    );
-}
-
-/// The E19 claim (EXPERIMENTS.md): as call fan-out grows, replaying a
-/// procedure summary overtakes re-analysing the callee at every site.
-/// At least one generated tier must show a wall-clock win with sound
-/// (here: identical) answers. Tiers with the widest measured margins
-/// are used so the gate stays robust on loaded CI machines.
-#[test]
-fn summary_engine_overtakes_reanalysis_on_call_fanout() {
-    let rows = report::summary_scale_study(&[16, 32, 64]).expect("scale study");
-    assert_eq!(rows.len(), 3, "scale study dropped a tier");
-    for r in &rows {
-        assert!(
-            r.sound,
-            "{} sites: summary answers are not a sound superset",
-            r.call_sites
-        );
-    }
-    assert!(
-        rows.iter().any(|r| r.speedup() > 1.0),
-        "summary engine never beat per-invocation re-analysis: {:?}",
-        rows.iter()
-            .map(|r| (r.call_sites, r.speedup()))
-            .collect::<Vec<_>>()
-    );
-}
-
-/// Checked-in recursion-shape goldens for the summary engine: a
-/// self-recursive walker, a mutually recursive pair, and a
-/// function-pointer ring the conservative call graph fuses into one
-/// SCC. Each must keep its expected call-graph shape, analyse under
-/// both engines, and satisfy the sound-superset contract.
+/// Checked-in recursion-shape goldens: a self-recursive walker, a
+/// mutually recursive pair, and a function-pointer ring the
+/// conservative call graph fuses into one SCC. Each must keep its
+/// expected call-graph shape and analyse to completion.
 #[test]
 fn summary_recursion_goldens_hold_under_both_engines() {
     use pta::core::AnalysisConfig;
@@ -449,13 +323,7 @@ fn summary_recursion_goldens_hold_under_both_engines() {
             largest, *knot,
             "{name}: expected a {knot}-member recursive component, call graph has {largest}"
         );
-        let ig = pta::core::analyze_with(&ir, AnalysisConfig::default())
+        pta::core::analyze_with(&ir, AnalysisConfig::default())
             .unwrap_or_else(|e| panic!("{name}: invocation-graph engine failed: {e}"));
-        let su = pta::core::analyze_summary(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("{name}: summary engine failed: {e}"));
-        assert!(
-            pta::core::sound_superset(&ig, &su),
-            "{name}: summary answers are not a sound superset"
-        );
     }
 }

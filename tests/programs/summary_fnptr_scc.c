@@ -1,9 +1,9 @@
 /* A function-pointer-driven cycle: each ring member re-targets the
  * global pointer and calls through it, so the conservative call graph
  * (indirect sites resolve to every address-taken function) fuses the
- * ring into one SCC. The summary engine must keep the whole ring on
- * the per-invocation path and re-compose after points-to facts narrow
- * the indirect targets. */
+ * ring into one SCC, while the points-to facts narrow each indirect
+ * call to the targets the pointer can hold there and the invocation
+ * graph closes the ring with recursive/approximate node pairs. */
 int n;
 int *slot;
 int x, y;

@@ -1,7 +1,7 @@
 /* Mutually recursive pair flipping a shared cursor between two
- * globals: `even` and `odd` are one two-member call-graph component,
- * so neither may be served from a stored context pair; the helper
- * `park` below the knot is recursion-free and summarisable. */
+ * globals: `even` and `odd` are one two-member call-graph component
+ * that the invocation graph resolves with a recursive fixed point;
+ * the helper `park` below the knot is recursion-free. */
 int a, b, n;
 int *cur;
 void odd(void);

@@ -1,7 +1,7 @@
 /* Self-recursive pointer walker: `step` forms a singleton recursive
- * SCC in the conservative call graph, so the summary engine cannot
- * publish a context pair for it and must re-analyse it per invocation
- * while still composing `main` around the knot. The restore of the
+ * SCC in the conservative call graph; the invocation graph analyses
+ * it through a recursive/approximate node pair iterated to a fixed
+ * point, with `main` around the knot. The restore of the
  * saved cursor under `lim` keeps both possible targets live at exit. */
 int g, lim;
 void step(int **pp, int depth);

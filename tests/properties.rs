@@ -333,135 +333,10 @@ fn pipeline_never_panics_on_mutated_valid_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Liveness pruning: pruned ≡ exhaustive where it matters
+// Generated programs through lint and demand: same answers every way
 // ---------------------------------------------------------------------
 
 use pta::core::AnalysisConfig;
-use pta::simple::{BasicStmt, CallTarget, IrFunction, Operand, StmtId, VarBase, VarRef};
-
-/// Collects every variable reference a basic statement contains.
-fn refs_of<'a>(b: &'a BasicStmt, out: &mut Vec<&'a VarRef>) {
-    fn op<'a>(o: &'a Operand, out: &mut Vec<&'a VarRef>) {
-        if let Operand::Ref(r) | Operand::AddrOf(r) = o {
-            out.push(r);
-        }
-    }
-    match b {
-        BasicStmt::Copy { lhs, rhs } => {
-            out.push(lhs);
-            op(rhs, out);
-        }
-        BasicStmt::Unary { lhs, rhs, .. } => {
-            out.push(lhs);
-            op(rhs, out);
-        }
-        BasicStmt::Binary { lhs, a, b, .. } => {
-            out.push(lhs);
-            op(a, out);
-            op(b, out);
-        }
-        BasicStmt::PtrArith { lhs, ptr, .. } => {
-            out.push(lhs);
-            out.push(ptr);
-        }
-        BasicStmt::Alloc { lhs, size } => {
-            out.push(lhs);
-            op(size, out);
-        }
-        BasicStmt::Call {
-            lhs, target, args, ..
-        } => {
-            if let Some(l) = lhs {
-                out.push(l);
-            }
-            if let CallTarget::Indirect(r) = target {
-                out.push(r);
-            }
-            for a in args {
-                op(a, out);
-            }
-        }
-        BasicStmt::Return(v) => {
-            if let Some(o) = v {
-                op(o, out);
-            }
-        }
-    }
-}
-
-/// The use points the pruned engine must preserve exactly: every bare
-/// local pointer a statement dereferences (or calls through), with the
-/// statement it happens at.
-fn deref_uses(f: &IrFunction) -> Vec<(StmtId, String)> {
-    let mut uses = Vec::new();
-    let Some(body) = &f.body else { return uses };
-    body.for_each_basic(&mut |b, id| {
-        let mut refs = Vec::new();
-        refs_of(b, &mut refs);
-        for r in refs {
-            if let VarRef::Deref { path, .. } = r {
-                if let VarBase::Var(v) = path.base {
-                    if path.projs.is_empty() {
-                        uses.push((id, f.var(v).name.clone()));
-                    }
-                }
-            }
-        }
-    });
-    uses
-}
-
-#[test]
-fn prune_liveness_preserves_use_point_and_exit_resolutions() {
-    // `--prune-liveness` drops pairs for *dead* frame-local pointers
-    // from the per-statement tables; any pointer actually read at a
-    // statement is live there, so its resolution must be byte-identical
-    // to the exhaustive engine's — as must the exit resolutions of
-    // globals and parameters, which are never prunable.
-    check("prune ≡ exhaustive", 24, |g| {
-        let family = *g.pick(pta_prop::cgen::FAMILIES);
-        let source = pta_prop::cgen::generate(family, g);
-        let Ok(base) = pta::core::run_source_with(&source, AnalysisConfig::default()) else {
-            return; // generator corner the pipeline rejects: vacuous case
-        };
-        let pruned = pta::core::run_source_with(
-            &source,
-            AnalysisConfig {
-                prune_liveness: true,
-                ..AnalysisConfig::default()
-            },
-        )
-        .expect("pruned run must succeed when the exhaustive run does");
-        // Globals and parameters are never prunable: exact at exit.
-        for gl in &base.ir.globals {
-            assert_eq!(
-                base.exit_targets_of("main", &gl.name),
-                pruned.exit_targets_of("main", &gl.name),
-                "exit targets diverged for global `{}` in:\n{source}",
-                gl.name,
-            );
-        }
-        for (_, f) in base.ir.defined_functions() {
-            for v in &f.vars[..f.n_params] {
-                assert_eq!(
-                    base.exit_targets_of(&f.name, &v.name),
-                    pruned.exit_targets_of(&f.name, &v.name),
-                    "exit targets diverged for param `{}::{}` in:\n{source}",
-                    f.name,
-                    v.name,
-                );
-            }
-            for (stmt, var) in deref_uses(f) {
-                assert_eq!(
-                    base.targets_at(stmt, &f.name, &var),
-                    pruned.targets_at(stmt, &f.name, &var),
-                    "use-point targets diverged for `{}::{var}` in:\n{source}",
-                    f.name,
-                );
-            }
-        }
-    });
-}
 
 #[test]
 fn lint_output_is_deterministic_across_jobs_on_generated_programs() {
@@ -549,48 +424,6 @@ fn demand_rooted_answers_equal_exhaustive_on_generated_programs() {
                 "facts diverged at {root:?} ({}, mode {:?}) in:\n{source}",
                 family,
                 out.mode,
-            );
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Summary engine: sound superset of the invocation-graph engine
-// ---------------------------------------------------------------------
-
-#[test]
-fn summary_answers_are_a_sound_superset_on_generated_programs() {
-    // The cross-engine contract (DESIGN.md §11) on generated
-    // pathology, across every family — including the recursive and
-    // unresolved-indirect-call shapes where the summary engine must
-    // take the per-invocation path: its name-level facts contain the
-    // invocation-graph engine's pointwise (definiteness may weaken
-    // D → P, never strengthen), and on programs whose conservative
-    // call graph is recursion-free and direct-call-only the facts are
-    // identical.
-    check("summary ⊇ ig", 24, |g| {
-        let family = *g.pick(pta_prop::cgen::FAMILIES);
-        let source = pta_prop::cgen::generate(family, g);
-        let Ok(ir) = pta::simple::compile(&source) else {
-            return; // generator corner the frontend rejects: vacuous
-        };
-        let Ok(ig) = pta::core::analyze_with(&ir, AnalysisConfig::default()) else {
-            return; // budget trips are the stress harness's domain
-        };
-        let su = pta::core::analyze_summary(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("summary engine failed ({family}): {e}\n{source}"));
-        assert!(
-            pta::core::sound_superset(&ig, &su),
-            "summary answers are not a sound superset ({family}) in:\n{source}"
-        );
-        let cg = pta::core::CallGraph::build(&ir);
-        let rec_free = cg.recursion_free();
-        let direct_only = cg.calls.values().flatten().all(|c| !c.indirect);
-        if direct_only && ir.defined_functions().all(|(f, _)| rec_free.contains(&f)) {
-            assert_eq!(
-                pta::core::named_facts(&ig),
-                pta::core::named_facts(&su),
-                "recursion-free direct-call program diverged ({family}) in:\n{source}"
             );
         }
     });

@@ -190,3 +190,64 @@ fn reload_supports_queries_without_reanalysis() {
     assert_eq!(result.exit_set, fresh.result.exit_set);
     assert_eq!(snap.diagnostics(), lint_of(&ir, &fresh.result));
 }
+
+/// The fidelity decoder no longer knows the removed `summary` rung. A
+/// snapshot whose lint findings carry that tag (the snapshot format
+/// could encode it while the rung existed) is a typed error even behind
+/// a valid checksum, and the incremental run falls back to a cold run
+/// with the same answers.
+#[test]
+fn snapshot_with_retired_summary_fidelity_falls_back_cold() {
+    let b = SUITE
+        .iter()
+        .find(|b| b.name == "hash")
+        .expect("hash is in the suite");
+    let (ir, snap) = cold_snapshot(b.source);
+    assert!(!snap.lint.is_empty(), "hash must have findings to re-tag");
+    let text = serialize(&snap);
+    // Header, checksum, payload: re-tag every finding (fidelity is the
+    // fourth token of an `l` line) and re-checksum the payload.
+    let mut parts = text.splitn(3, '\n');
+    let (header, _, payload) = (
+        parts.next().unwrap(),
+        parts.next().unwrap(),
+        parts.next().unwrap(),
+    );
+    let old_payload: String = payload
+        .lines()
+        .map(|l| {
+            let mut toks: Vec<&str> = l.split(' ').collect();
+            if toks[0] == "l" {
+                assert_eq!(toks[3], "context-sensitive", "{l}");
+                toks[3] = "summary";
+            }
+            toks.join(" ") + "\n"
+        })
+        .collect();
+    let old = format!(
+        "{header}\nchecksum {:016x}\n{old_payload}",
+        pta_core::fingerprint::fnv1a(old_payload.as_bytes())
+    );
+
+    let dir = std::env::temp_dir().join(format!("pta-store-retired-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("hash.ptas");
+    std::fs::write(&path, &old).unwrap();
+    let loaded = pta_store::load(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    match &loaded {
+        Err(StoreError::Corrupt { msg, .. }) => {
+            assert!(msg.contains("bad fidelity `summary`"), "{msg}")
+        }
+        other => panic!("expected a typed corruption error, got {other:?}"),
+    }
+
+    let inc = analyze_incremental(&ir, &AnalysisConfig::default(), loaded.as_ref().ok()).unwrap();
+    assert!(matches!(inc.mode, WarmMode::Cold(ColdReason::NoSnapshot)));
+    let cold = analyze_recorded(&ir, AnalysisConfig::default()).unwrap();
+    assert_eq!(
+        canonical_facts(&ir, &inc.run.result),
+        canonical_facts(&ir, &cold.result)
+    );
+    assert_eq!(lint_of(&ir, &inc.run.result), snap.diagnostics());
+}
