@@ -36,7 +36,7 @@ fn stars(n: usize, name: &str) -> String {
 /// ignored.
 pub fn alias_pairs_at(result: &AnalysisResult, stmt: StmtId, max_depth: usize) -> Vec<AliasPair> {
     let set = result.at(stmt);
-    alias_pairs_of(result, &set, max_depth)
+    alias_pairs_of(result, set, max_depth)
 }
 
 /// Derives alias pairs from an explicit points-to set.

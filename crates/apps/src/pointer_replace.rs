@@ -60,7 +60,7 @@ fn replacement_for(
     if *shift != pta_simple::IdxClass::Zero {
         return None;
     }
-    let set = result.at(occ.stmt);
+    let set = result.at(occ.stmt).clone();
     let ptr_locs = {
         let mut env = pta_core::lvalue::RefEnv {
             ir,

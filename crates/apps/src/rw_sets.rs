@@ -75,7 +75,7 @@ fn basic_rw(
     b: &BasicStmt,
     id: StmtId,
 ) -> RwSets {
-    let set = result.at(id);
+    let set = result.at(id).clone();
     let mut rw = RwSets::default();
     let write = |result: &mut AnalysisResult, rw: &mut RwSets, r: &VarRef| {
         let ls = {

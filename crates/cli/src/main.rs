@@ -51,6 +51,37 @@ use pta_core::{stats, AnalysisConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// Writes to stdout. A reader that closed the pipe early (`pta … |
+/// head`) ends the process quietly with status 0; any other write
+/// failure ends it with status 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("pta: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 struct Options {
     file: Option<String>,
     simple: bool,
@@ -259,9 +290,9 @@ fn run_lint(args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     if opts.json {
-        print!("{}", pta_lint::render_json(&reports));
+        out!("{}", pta_lint::render_json(&reports));
     } else {
-        print!("{}", pta_lint::render_text(&reports));
+        out!("{}", pta_lint::render_text(&reports));
     }
     let failed = reports.iter().any(|r| r.error.is_some());
     let errors = reports
@@ -421,7 +452,7 @@ fn run_trace(args: impl Iterator<Item = String>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        None => print!("{}", jsonl.as_str()),
+        None => out!("{}", jsonl.as_str()),
     }
     if let Some(path) = &opts.chrome_out {
         if let Err(e) = std::fs::write(path, chrome.finish()) {
@@ -430,7 +461,7 @@ fn run_trace(args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     if opts.metrics {
-        print!("{}", metrics.render_text());
+        out!("{}", metrics.render_text());
     }
     eprintln!(
         "pta trace: {file}: {} events, {} ig nodes, fidelity {}",
@@ -832,7 +863,7 @@ fn run_callgraph(args: impl Iterator<Item = String>) -> ExitCode {
             "--dot" => dot = true,
             "--json" => json = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             f if !f.starts_with('-') => {
@@ -872,11 +903,11 @@ fn run_callgraph(args: impl Iterator<Item = String>) -> ExitCode {
     };
     let cg = pta_core::CallGraph::build(&ir);
     if dot {
-        print!("{}", cg.to_dot(&ir));
+        out!("{}", cg.to_dot(&ir));
     } else if json {
-        println!("{}", cg.to_json(&ir));
+        outln!("{}", cg.to_json(&ir));
     } else {
-        print!("{}", render_callgraph_text(&ir, &cg));
+        out!("{}", render_callgraph_text(&ir, &cg));
     }
     ExitCode::SUCCESS
 }
@@ -933,7 +964,7 @@ fn run_store(args: impl Iterator<Item = String>) -> ExitCode {
     match argv.next().as_deref() {
         Some("verify") => {}
         Some("--help") | Some("-h") => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         _ => {
@@ -957,9 +988,13 @@ fn run_store(args: impl Iterator<Item = String>) -> ExitCode {
             }
         };
         match pta_store::verify(&text) {
-            Ok(s) => println!(
+            Ok(s) => outln!(
                 "{file}: ok — {} functions, {} locations, {} nodes, {} pairs, {} lint findings",
-                s.functions, s.locations, s.nodes, s.pairs, s.lint
+                s.functions,
+                s.locations,
+                s.nodes,
+                s.pairs,
+                s.lint
             ),
             Err(e) => {
                 eprintln!("pta store verify: {file}: {e}");
@@ -1014,25 +1049,27 @@ fn main() -> ExitCode {
     }
 
     if opts.simple {
-        println!("== SIMPLE form ==");
-        println!("{}", pta_simple::printer::print_program(&pta.ir));
+        outln!("== SIMPLE form ==");
+        outln!("{}", pta_simple::printer::print_program(&pta.ir));
     }
     if opts.ig {
-        println!("== Invocation graph ==");
-        print!("{}", pta.result.ig.render(&pta.ir));
+        outln!("== Invocation graph ==");
+        out!("{}", pta.result.ig.render(&pta.ir));
         let s = pta.result.ig.stats();
-        println!(
+        outln!(
             "({} nodes, {} recursive, {} approximate)\n",
-            s.nodes, s.recursive, s.approximate
+            s.nodes,
+            s.recursive,
+            s.approximate
         );
     }
     if opts.callgraph {
-        println!("== Call graph ==");
-        print!("{}", call_graph(&pta.ir, &pta.result).render());
-        println!();
+        outln!("== Call graph ==");
+        out!("{}", call_graph(&pta.ir, &pta.result).render());
+        outln!();
     }
     if opts.points_to {
-        println!("== Points-to sets per program point (NULL targets omitted) ==");
+        outln!("== Points-to sets per program point (NULL targets omitted) ==");
         let ids: Vec<pta_simple::StmtId> = pta.result.per_stmt.keys().copied().collect();
         for id in ids {
             let pairs = pta.pairs_at(id);
@@ -1043,36 +1080,39 @@ fn main() -> ExitCode {
                 .iter()
                 .map(|(a, b, d)| format!("({a},{b},{d})"))
                 .collect();
-            println!("{id}: {}", rendered.join(" "));
+            outln!("{id}: {}", rendered.join(" "));
         }
-        println!();
+        outln!();
     }
     if opts.aliases {
-        println!("== Alias pairs at exit of main ==");
+        outln!("== Alias pairs at exit of main ==");
         if let Some(ret) = pta.find_stmt("main", "return", 0) {
             for p in alias_pairs_at(&pta.result, ret, 3) {
-                println!("{p}");
+                outln!("{p}");
             }
         }
-        println!();
+        outln!();
     }
     if opts.replace {
-        println!("== Replaceable indirect references ==");
+        outln!("== Replaceable indirect references ==");
         let ir = pta.ir.clone();
         for r in replaceable_refs(&ir, &mut pta.result) {
-            println!("{r}");
+            outln!("{r}");
         }
-        println!();
+        outln!();
     }
     if opts.tables {
         let ir = pta.ir.clone();
         let all = stats::compute(file, &source, &ir, &mut pta.result);
-        println!("== Statistics ==");
-        println!(
+        outln!("== Statistics ==");
+        outln!(
             "lines {} | SIMPLE stmts {} | abstract stack {}..{}",
-            all.t2.lines, all.t2.simple_stmts, all.t2.min_vars, all.t2.max_vars
+            all.t2.lines,
+            all.t2.simple_stmts,
+            all.t2.min_vars,
+            all.t2.max_vars
         );
-        println!(
+        outln!(
             "indirect refs {} | 1D {:?} | 1P {:?} | 2P {:?} | avg {:.2} | replaceable {}",
             all.t3.ind_refs,
             all.t3.one_d,
@@ -1081,7 +1121,7 @@ fn main() -> ExitCode {
             all.t3.avg(),
             all.t3.scalar_rep
         );
-        println!(
+        outln!(
             "ig nodes {} | call sites {} | functions {} | R {} | A {}",
             all.t6.ig_nodes,
             all.t6.call_sites,
@@ -1089,20 +1129,20 @@ fn main() -> ExitCode {
             all.t6.recursive,
             all.t6.approximate
         );
-        println!();
+        outln!();
     }
     if opts.dot {
-        println!("// invocation graph");
-        print!("{}", pta.result.ig.to_dot(&pta.ir));
-        println!("// call graph");
-        print!("{}", call_graph(&pta.ir, &pta.result).to_dot());
+        outln!("// invocation graph");
+        out!("{}", pta.result.ig.to_dot(&pta.ir));
+        outln!("// call graph");
+        out!("{}", call_graph(&pta.ir, &pta.result).to_dot());
     }
     if opts.warnings {
-        println!("== Warnings ==");
+        outln!("== Warnings ==");
         for w in &pta.result.warnings {
-            println!("warning: {w}");
+            outln!("warning: {w}");
         }
-        println!();
+        outln!();
     }
 
     // Default summary.
@@ -1112,7 +1152,7 @@ fn main() -> ExitCode {
     } else {
         format!(" [fidelity: {fidelity}]")
     };
-    println!(
+    outln!(
         "{}: {} functions, {} SIMPLE statements, {} invocation-graph nodes, {} points-to pairs at exit, {} warnings{}",
         file,
         pta.ir.defined_functions().count(),

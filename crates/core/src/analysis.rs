@@ -239,8 +239,9 @@ pub struct AnalysisResult {
 impl AnalysisResult {
     /// The merged points-to set at a program point (empty if the point
     /// was never reached).
-    pub fn at(&self, stmt: StmtId) -> PtSet {
-        self.per_stmt.get(&stmt).cloned().unwrap_or_default()
+    pub fn at(&self, stmt: StmtId) -> &PtSet {
+        static EMPTY: PtSet = PtSet::new();
+        self.per_stmt.get(&stmt).unwrap_or(&EMPTY)
     }
 }
 

@@ -1151,24 +1151,41 @@ impl<'a> ProgramDataflow<'a> {
     pub fn compute(q: &FactQuery<'a>) -> ProgramDataflow<'a> {
         let effects = CallEffects::compute(q);
         let reachable = q.reachable_functions();
+        // Interned frame locations, indexed once: sorted by owning
+        // function, so each function reads its own run.
+        let mut frames: Vec<(FuncId, LocId)> = q
+            .result
+            .locs
+            .ids()
+            .filter_map(|l| match q.result.locs.get(l).base {
+                LocBase::Var(g, _) => Some((g, l)),
+                _ => None,
+            })
+            .collect();
+        frames.sort_unstable();
         let mut funcs = BTreeMap::new();
         for (fid, f) in q.ir.defined_functions() {
             if !reachable.contains(&fid) {
                 continue;
             }
             let Some(body) = &f.body else { continue };
-            funcs.insert(fid, compute_fn_facts(q, &effects, fid, f, body));
+            let lo = frames.partition_point(|&(g, _)| g < fid);
+            let hi = lo + frames[lo..].partition_point(|&(g, _)| g == fid);
+            let frame = &frames[lo..hi];
+            funcs.insert(fid, compute_fn_facts(q, &effects, fid, f, body, frame));
         }
         ProgramDataflow { funcs, effects }
     }
 }
 
+/// `frame` lists the interned locations of `fid`'s frame.
 fn compute_fn_facts<'a>(
     q: &FactQuery<'a>,
     effects: &CallEffects,
     fid: FuncId,
     f: &'a IrFunction,
     body: &'a Stmt,
+    frame: &[(FuncId, LocId)],
 ) -> FnFacts<'a> {
     let cfg = Cfg::build(body);
 
@@ -1225,16 +1242,14 @@ fn compute_fn_facts<'a>(
         });
     });
     // Interned frame locations (targets of pointers into this frame).
-    for l in q.result.locs.ids() {
-        if let LocBase::Var(g, v) = &q.result.locs.get(l).base {
-            if *g == fid {
-                let projs = q.result.locs.get(l).projs.clone();
-                for j in 0..=projs.len() {
-                    slots.insert(DomainLoc {
-                        var: *v,
-                        projs: projs[..j].to_vec(),
-                    });
-                }
+    for &(_, l) in frame {
+        let d = q.result.locs.get(l);
+        if let LocBase::Var(_, v) = d.base {
+            for j in 0..=d.projs.len() {
+                slots.insert(DomainLoc {
+                    var: v,
+                    projs: d.projs[..j].to_vec(),
+                });
             }
         }
     }
@@ -1245,16 +1260,14 @@ fn compute_fn_facts<'a>(
         index.insert(d.clone(), i);
     }
     let mut loc_index: FxHashMap<LocId, usize> = FxHashMap::default();
-    for l in q.result.locs.ids() {
+    for &(_, l) in frame {
         let d = q.result.locs.get(l);
-        if let LocBase::Var(g, v) = &d.base {
-            if *g == fid {
-                if let Some(i) = index.get(&DomainLoc {
-                    var: *v,
-                    projs: d.projs.clone(),
-                }) {
-                    loc_index.insert(l, *i);
-                }
+        if let LocBase::Var(_, v) = d.base {
+            if let Some(i) = index.get(&DomainLoc {
+                var: v,
+                projs: d.projs.clone(),
+            }) {
+                loc_index.insert(l, *i);
             }
         }
     }
@@ -1303,24 +1316,24 @@ fn compute_fn_facts<'a>(
         match node {
             NodeKind::Basic(b, _) => {
                 if let Some(lhs) = basic_lhs(b) {
-                    rsv.read_ref(&set, lhs, false, &mut fx.reads[i]);
+                    rsv.read_ref(set, lhs, false, &mut fx.reads[i]);
                     if !matches!(b, BasicStmt::Return(_)) {
-                        fx.writes[i] = rsv.write_lhs(&set, lhs);
+                        fx.writes[i] = rsv.write_lhs(set, lhs);
                     }
                 }
                 match b {
                     BasicStmt::Copy { rhs, .. } | BasicStmt::Unary { rhs, .. } => {
-                        rsv.read_op(&set, rhs, &mut fx.reads[i]);
+                        rsv.read_op(set, rhs, &mut fx.reads[i]);
                     }
                     BasicStmt::Binary { a, b, .. } => {
-                        rsv.read_op(&set, a, &mut fx.reads[i]);
-                        rsv.read_op(&set, b, &mut fx.reads[i]);
+                        rsv.read_op(set, a, &mut fx.reads[i]);
+                        rsv.read_op(set, b, &mut fx.reads[i]);
                     }
                     BasicStmt::PtrArith { ptr, .. } => {
-                        rsv.read_ref(&set, ptr, true, &mut fx.reads[i]);
+                        rsv.read_ref(set, ptr, true, &mut fx.reads[i]);
                     }
                     BasicStmt::Alloc { size, .. } => {
-                        rsv.read_op(&set, size, &mut fx.reads[i]);
+                        rsv.read_op(set, size, &mut fx.reads[i]);
                     }
                     BasicStmt::Call {
                         target,
@@ -1329,10 +1342,10 @@ fn compute_fn_facts<'a>(
                         ..
                     } => {
                         if let CallTarget::Indirect(r) = target {
-                            rsv.read_ref(&set, r, true, &mut fx.reads[i]);
+                            rsv.read_ref(set, r, true, &mut fx.reads[i]);
                         }
                         for a in args {
-                            rsv.read_op(&set, a, &mut fx.reads[i]);
+                            rsv.read_op(set, a, &mut fx.reads[i]);
                         }
                         let targets: Vec<FuncId> = match target {
                             CallTarget::Direct(g) => vec![*g],
@@ -1356,7 +1369,7 @@ fn compute_fn_facts<'a>(
                                 let ixes = match r {
                                     VarRef::Path(p) => rsv.path_ixes(p),
                                     VarRef::Deref { .. } => {
-                                        let ls = q.l_locations(fid, &set, r);
+                                        let ls = q.l_locations(fid, set, r);
                                         rsv.loc_ixes(&ls)
                                     }
                                 };
@@ -1370,14 +1383,14 @@ fn compute_fn_facts<'a>(
                     }
                     BasicStmt::Return(v) => {
                         if let Some(v) = v {
-                            rsv.read_op(&set, v, &mut fx.reads[i]);
+                            rsv.read_op(set, v, &mut fx.reads[i]);
                         }
                     }
                 }
             }
             NodeKind::Test(ops, _) => {
                 for op in ops {
-                    rsv.read_op(&set, op, &mut fx.reads[i]);
+                    rsv.read_op(set, op, &mut fx.reads[i]);
                 }
             }
             _ => {}

@@ -446,8 +446,8 @@ mod tests {
             v
         };
         assert_eq!(
-            name(&full, &full.at(root.1)),
-            name(&out.result, &out.result.at(root.1))
+            name(&full, full.at(root.1)),
+            name(&out.result, out.result.at(root.1))
         );
     }
 

@@ -490,7 +490,8 @@ impl<'p> Analyzer<'p> {
     /// Figure 5: a call through a function pointer. The invocable set is
     /// the current points-to set of the pointer; the invocation graph is
     /// extended accordingly; each invocable function is analysed with
-    /// the pointer made to *definitely* point to it; the outputs merge.
+    /// the pointer made to *definitely* point to it; the outputs are
+    /// joined once, after the last target.
     #[allow(clippy::too_many_arguments)]
     fn process_call_indirect(
         &mut self,
@@ -525,7 +526,7 @@ impl<'p> Analyzer<'p> {
             let mut env = self.renv(caller);
             env.l_locations(&input, fnptr)
         };
-        let mut out: Flow = None;
+        let mut outs: Vec<PtSet> = Vec::with_capacity(fns.len());
         for f in fns {
             // Make the function pointer definitely point to `f` for this
             // branch of the call.
@@ -536,8 +537,9 @@ impl<'p> Analyzer<'p> {
             } else {
                 self.extern_call(caller, f, lhs, args, input_f)?
             };
-            out = merge_flow(out, o);
+            // A target that never returns (⊥) adds nothing to the join.
+            outs.extend(o);
         }
-        Ok(out)
+        Ok(PtSet::merge_all(&outs))
     }
 }

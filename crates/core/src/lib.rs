@@ -261,7 +261,7 @@ impl Pta {
             return Vec::new();
         };
         let set = self.result.at(stmt);
-        self.named_targets(&set, src)
+        self.named_targets(set, src)
     }
 
     /// Target names of `var` in the exit set of `main`.

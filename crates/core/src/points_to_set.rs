@@ -16,9 +16,17 @@
 //! reorder the array because pair keys are unique. Sets of up to six
 //! triples — the overwhelming majority of per-variable sets — live
 //! inline without a heap allocation.
+//!
+//! A larger array is shared copy-on-write: cloning a set (recording it
+//! at a program point, handing it to a branch or a call target) bumps
+//! a reference count. The first edit that changes a shared array
+//! builds the new one in a single pass; an edit that changes nothing
+//! (re-inserting a pair, demoting `P` triples) leaves it shared, and an
+//! array held by one set is edited in place.
 
 use crate::location::LocId;
 use std::fmt;
+use std::sync::Arc;
 
 /// Definiteness of a points-to relationship.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -90,15 +98,20 @@ fn unpack_def(e: u64) -> Def {
 const INLINE: usize = 6;
 
 /// Storage of the packed triples: a small inline buffer or a spilled
-/// vector. Invariant: the occupied prefix is sorted and pair keys are
-/// unique.
+/// array shared copy-on-write between sets. Invariant: the occupied
+/// prefix is sorted and pair keys are unique.
 #[derive(Clone)]
 enum Rep {
     Inline { len: u8, buf: [u64; INLINE] },
-    Spilled(Vec<u64>),
+    Spilled(Arc<Vec<u64>>),
 }
 
 impl Rep {
+    const EMPTY: Rep = Rep::Inline {
+        len: 0,
+        buf: [0; INLINE],
+    };
+
     #[inline]
     fn as_slice(&self) -> &[u64] {
         match self {
@@ -107,44 +120,63 @@ impl Rep {
         }
     }
 
+    /// The words for an in-place edit of definiteness bits, unsharing
+    /// a shared array with one copy. Call it only for an edit that
+    /// changes something.
     #[inline]
-    fn as_mut_slice(&mut self) -> &mut [u64] {
+    fn words_mut(&mut self) -> &mut [u64] {
         match self {
             Rep::Inline { len, buf } => &mut buf[..*len as usize],
-            Rep::Spilled(v) => v,
+            Rep::Spilled(v) => Arc::make_mut(v).as_mut_slice(),
         }
     }
 
-    fn insert_at(&mut self, i: usize, e: u64) {
+    /// True if both hold the same spilled array.
+    #[inline]
+    fn same_array(&self, other: &Rep) -> bool {
+        matches!((self, other), (Rep::Spilled(a), Rep::Spilled(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Replaces the words in `range` with `with` (at most one word). An
+    /// owned array is edited in place; a shared one is rebuilt in one
+    /// pass from the parts that survive.
+    fn splice(&mut self, range: std::ops::Range<usize>, with: Option<u64>) {
         match self {
             Rep::Inline { len, buf } => {
                 let n = *len as usize;
-                if n < INLINE {
-                    buf.copy_within(i..n, i + 1);
-                    buf[i] = e;
-                    *len += 1;
-                } else {
+                let m = n - range.len() + with.is_some() as usize;
+                if m > INLINE {
                     let mut v = Vec::with_capacity(n * 2);
-                    v.extend_from_slice(&buf[..i]);
-                    v.push(e);
-                    v.extend_from_slice(&buf[i..]);
-                    *self = Rep::Spilled(v);
+                    v.extend_from_slice(&buf[..range.start]);
+                    v.extend(with);
+                    v.extend_from_slice(&buf[range.end..n]);
+                    *self = Rep::Spilled(Arc::new(v));
+                    return;
                 }
+                let tail = range.start + with.is_some() as usize;
+                buf.copy_within(range.end..n, tail);
+                if let Some(e) = with {
+                    buf[range.start] = e;
+                }
+                *len = m as u8;
             }
-            Rep::Spilled(v) => v.insert(i, e),
-        }
-    }
-
-    fn remove_range(&mut self, range: std::ops::Range<usize>) {
-        match self {
-            Rep::Inline { len, buf } => {
-                let n = *len as usize;
-                buf.copy_within(range.end..n, range.start);
-                *len -= (range.end - range.start) as u8;
-            }
-            Rep::Spilled(v) => {
-                v.drain(range);
-            }
+            Rep::Spilled(v) => match Arc::get_mut(v) {
+                Some(v) => {
+                    v.drain(range.clone());
+                    if let Some(e) = with {
+                        v.insert(range.start, e);
+                    }
+                }
+                None => {
+                    // Keep the old length as capacity: a kill is most
+                    // often followed by inserts for the same source.
+                    let mut out = Vec::with_capacity(v.len() + with.is_some() as usize);
+                    out.extend_from_slice(&v[..range.start]);
+                    out.extend(with);
+                    out.extend_from_slice(&v[range.end..]);
+                    *self = Rep::from_sorted(out);
+                }
+            },
         }
     }
 
@@ -157,30 +189,51 @@ impl Rep {
                 buf,
             }
         } else {
-            Rep::Spilled(v)
+            Rep::Spilled(Arc::new(v))
         }
     }
 }
 
-impl Default for Rep {
-    fn default() -> Self {
-        Rep::Inline {
-            len: 0,
-            buf: [0; INLINE],
-        }
+/// The end of the run of words in `s` that starts at `from` and whose
+/// keys lie below `k`; `s[from]` is known to be below. Searches
+/// exponentially, then by bisection, so the cost is logarithmic in the
+/// run's length.
+#[inline]
+fn run_end(s: &[u64], from: usize, k: u64) -> usize {
+    let below = |e: &u64| (e & KEY_MASK) < k;
+    let (mut lo, mut step) = (from, 1);
+    let mut hi = from + 1;
+    while hi < s.len() && below(&s[hi]) {
+        lo = hi;
+        step *= 2;
+        hi = from + step;
     }
+    let hi = hi.min(s.len());
+    lo + 1 + s[lo + 1..hi].partition_point(below)
+}
+
+/// Appends `run` to `out` with every triple demoted to `P`.
+#[inline]
+fn extend_demoted(out: &mut Vec<u64>, run: &[u64]) {
+    out.extend(run.iter().map(|e| e & KEY_MASK));
 }
 
 /// A set of points-to triples over interned locations, stored as one
 /// sorted array of packed `u64` words (see the module docs).
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct PtSet {
     rep: Rep,
 }
 
+impl Default for PtSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PartialEq for PtSet {
     fn eq(&self, other: &Self) -> bool {
-        self.rep.as_slice() == other.rep.as_slice()
+        self.rep.same_array(&other.rep) || self.rep.as_slice() == other.rep.as_slice()
     }
 }
 
@@ -196,8 +249,8 @@ impl fmt::Debug for PtSet {
 
 impl PtSet {
     /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        PtSet { rep: Rep::EMPTY }
     }
 
     /// Number of triples.
@@ -276,11 +329,11 @@ impl PtSet {
     pub fn insert(&mut self, src: LocId, tgt: LocId, d: Def) {
         match self.pair_index(src, tgt) {
             Ok(i) => {
-                if d == Def::D {
-                    self.rep.as_mut_slice()[i] |= D_BIT;
+                if d == Def::D && self.rep.as_slice()[i] & D_BIT == 0 {
+                    self.rep.words_mut()[i] |= D_BIT;
                 }
             }
-            Err(i) => self.rep.insert_at(i, pack(src, tgt, d)),
+            Err(i) => self.rep.splice(i..i, Some(pack(src, tgt, d))),
         }
     }
 
@@ -290,12 +343,11 @@ impl PtSet {
     pub fn insert_weak(&mut self, src: LocId, tgt: LocId, d: Def) {
         match self.pair_index(src, tgt) {
             Ok(i) => {
-                let e = &mut self.rep.as_mut_slice()[i];
-                if unpack_def(*e) != d {
-                    *e &= KEY_MASK;
+                if unpack_def(self.rep.as_slice()[i]) != d {
+                    self.rep.words_mut()[i] &= KEY_MASK;
                 }
             }
-            Err(i) => self.rep.insert_at(i, pack(src, tgt, d)),
+            Err(i) => self.rep.splice(i..i, Some(pack(src, tgt, d))),
         }
     }
 
@@ -303,31 +355,40 @@ impl PtSet {
     pub fn kill_from(&mut self, src: LocId) {
         let r = self.source_range(src);
         if !r.is_empty() {
-            self.rep.remove_range(r);
+            self.rep.splice(r, None);
         }
     }
 
     /// Demotes every triple from `src` to `P` ("change").
     pub fn demote_from(&mut self, src: LocId) {
         let r = self.source_range(src);
-        for e in &mut self.rep.as_mut_slice()[r] {
-            *e &= KEY_MASK;
+        if self.rep.as_slice()[r.clone()]
+            .iter()
+            .any(|e| e & D_BIT != 0)
+        {
+            for e in &mut self.rep.words_mut()[r] {
+                *e &= KEY_MASK;
+            }
         }
     }
 
     /// Removes a specific triple.
     pub fn remove(&mut self, src: LocId, tgt: LocId) {
         if let Ok(i) = self.pair_index(src, tgt) {
-            self.rep.remove_range(i..i + 1);
+            self.rep.splice(i..i + 1, None);
         }
     }
 
     /// Merges two flow facts at a control-flow join: a pair definite in
     /// both stays definite; a pair present in only one side, or possible
-    /// in either, is possible (Definition 3.3). A sorted merge-join.
+    /// in either, is possible (Definition 3.3). A sorted merge-join that
+    /// copies a run present on one side only in bulk.
     pub fn merge(&self, other: &PtSet) -> PtSet {
+        if self.rep.same_array(&other.rep) {
+            return self.clone();
+        }
         let (a, b) = (self.rep.as_slice(), other.rep.as_slice());
-        let mut out = Vec::with_capacity(a.len().max(b.len()));
+        let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             let (ka, kb) = (a[i] & KEY_MASK, b[j] & KEY_MASK);
@@ -338,20 +399,41 @@ impl PtSet {
                     i += 1;
                     j += 1;
                 }
+                // One-sided → P.
                 std::cmp::Ordering::Less => {
-                    out.push(ka); // one-sided → P
-                    i += 1;
+                    let end = run_end(a, i, kb);
+                    extend_demoted(&mut out, &a[i..end]);
+                    i = end;
                 }
                 std::cmp::Ordering::Greater => {
-                    out.push(kb);
-                    j += 1;
+                    let end = run_end(b, j, ka);
+                    extend_demoted(&mut out, &b[j..end]);
+                    j = end;
                 }
             }
         }
-        out.extend(a[i..].iter().map(|e| e & KEY_MASK));
-        out.extend(b[j..].iter().map(|e| e & KEY_MASK));
+        extend_demoted(&mut out, &a[i..]);
+        extend_demoted(&mut out, &b[j..]);
+        // Merged sets are kept at program points: return the slack.
+        out.shrink_to_fit();
         PtSet {
             rep: Rep::from_sorted(out),
+        }
+    }
+
+    /// Joins any number of flow facts at once: a pair is definite iff
+    /// it is definite in every set. Equal to folding [`PtSet::merge`]
+    /// over `sets`, but each pair is merged O(log k) times rather than
+    /// once per later set. `None` (⊥) for no sets.
+    pub fn merge_all(sets: &[PtSet]) -> Option<PtSet> {
+        match sets {
+            [] => None,
+            [s] => Some(s.clone()),
+            _ => {
+                let (lo, hi) = sets.split_at(sets.len() / 2);
+                let (lo, hi) = (Self::merge_all(lo)?, Self::merge_all(hi)?);
+                Some(lo.merge(&hi))
+            }
         }
     }
 
@@ -371,6 +453,9 @@ impl PtSet {
     /// (a definite claim is *stronger*, so it would not be a safe
     /// generalization). A sorted two-pointer walk.
     pub fn subset_of(&self, other: &PtSet) -> bool {
+        if self.rep.same_array(&other.rep) {
+            return true;
+        }
         let (a, b) = (self.rep.as_slice(), other.rep.as_slice());
         let mut j = 0;
         for &ea in a {
@@ -609,6 +694,81 @@ mod tests {
         let mut b = PtSet::new();
         b.insert(l(0), l(0), Def::P);
         assert_eq!(a, b);
+    }
+
+    fn spilled(n: u32) -> PtSet {
+        (0..n).map(|i| (l(i % 3), l(i), Def::D)).collect()
+    }
+
+    #[test]
+    fn edits_that_change_nothing_keep_the_array_shared() {
+        let a = spilled(20);
+        let mut b = a.clone();
+        assert!(a.rep.same_array(&b.rep), "clone shares the array");
+        b.insert(l(0), l(0), Def::D); // already D
+        b.insert(l(0), l(0), Def::P); // D wins
+        b.insert_weak(l(1), l(1), Def::D); // same definiteness
+        b.kill_from(l(7)); // no triples from l7
+        b.remove(l(0), l(1)); // absent pair
+        let mut c = b.clone();
+        c.demote_from(l(1));
+        let d = c.clone();
+        c.demote_from(l(1)); // already all P
+        assert!(a.rep.same_array(&b.rep));
+        assert!(c.rep.same_array(&d.rep));
+        assert!(!a.rep.same_array(&c.rep), "a real change unshares");
+    }
+
+    #[test]
+    fn an_edit_of_a_shared_array_rebuilds_it_once() {
+        let a = spilled(20);
+        let mut b = a.clone();
+        b.kill_from(l(1));
+        assert_eq!(a.len(), 20, "the other holder keeps its triples");
+        assert_eq!(b.len(), 13);
+        // Now sole owner: a further edit stays in place.
+        let Rep::Spilled(before) = &b.rep else {
+            panic!("13 triples spill")
+        };
+        let before = Arc::as_ptr(before);
+        b.insert(l(1), l(40), Def::P);
+        let Rep::Spilled(after) = &b.rep else {
+            panic!("14 triples spill")
+        };
+        assert_eq!(
+            before,
+            Arc::as_ptr(after),
+            "an owned array is edited in place"
+        );
+    }
+
+    #[test]
+    fn merge_copies_one_sided_runs_and_masks_their_definiteness() {
+        let a: PtSet = (0..30).map(|i| (l(0), l(i), Def::D)).collect();
+        let b: PtSet = [(l(0), l(10), Def::D), (l(0), l(40), Def::D)]
+            .into_iter()
+            .collect();
+        let m = a.merge(&b);
+        assert_eq!(m.len(), 31);
+        assert_eq!(m.get(l(0), l(10)), Some(Def::D));
+        assert!(m
+            .iter()
+            .filter(|&(_, t, _)| t != l(10))
+            .all(|(_, _, d)| d == Def::P));
+        assert!(a.merge(&a.clone()).rep.same_array(&a.rep));
+    }
+
+    #[test]
+    fn merge_all_ignores_no_set_and_joins_the_rest() {
+        assert_eq!(PtSet::merge_all(&[]), None);
+        let a = spilled(10);
+        assert_eq!(PtSet::merge_all(std::slice::from_ref(&a)), Some(a.clone()));
+        let mut b = a.clone();
+        b.remove(l(0), l(0));
+        let m = PtSet::merge_all(&[a.clone(), b.clone(), a.clone()]).expect("three sets");
+        assert_eq!(m, a.merge(&b).merge(&a));
+        assert_eq!(m.get(l(0), l(0)), Some(Def::P));
+        assert_eq!(m.get(l(1), l(1)), Some(Def::D));
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl<'a> FactQuery<'a> {
 
     /// The merged points-to set flowing *into* a program point (empty if
     /// the point was never reached).
-    pub fn at(&self, stmt: StmtId) -> PtSet {
+    pub fn at(&self, stmt: StmtId) -> &'a PtSet {
         self.result.at(stmt)
     }
 
@@ -354,7 +354,7 @@ mod tests {
             shift: IdxClass::Zero,
             after: vec![],
         };
-        let ls = q.l_locations(main, &set, &r);
+        let ls = q.l_locations(main, set, &r);
         assert_eq!(ls.len(), 1);
         assert_eq!(q.result.locs.name(ls[0].0), "x");
         assert_eq!(ls[0].1, Def::D);

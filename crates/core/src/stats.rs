@@ -448,7 +448,7 @@ pub fn table3(name: &str, ir: &IrProgram, result: &mut AnalysisResult) -> Table3
         ..Default::default()
     };
     for occ in collect_indirect_refs(ir) {
-        let set = result.at(occ.stmt);
+        let set = result.at(occ.stmt).clone();
         let pairs = pairs_used(ir, result, &occ, &set);
         row.ind_refs += 1;
         let array = occ.r.is_array_style();
@@ -519,7 +519,7 @@ pub fn table4(name: &str, ir: &IrProgram, result: &mut AnalysisResult) -> Table4
         ..Default::default()
     };
     for occ in collect_indirect_refs(ir) {
-        let set = result.at(occ.stmt);
+        let set = result.at(occ.stmt).clone();
         let pairs = pairs_used(ir, result, &occ, &set);
         for (src, tgt, _) in pairs {
             if result.locs.is_heap(tgt) {

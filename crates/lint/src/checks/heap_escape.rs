@@ -62,7 +62,7 @@ impl Check for HeapEscape {
                     }
                 }
                 if let Some(op) = &ret {
-                    for (t, _) in cx.query.operand_r_locations(fid, &set, op) {
+                    for (t, _) in cx.query.operand_r_locations(fid, set, op) {
                         alive.insert(cx.result.locs.get(t).base.clone());
                     }
                 }

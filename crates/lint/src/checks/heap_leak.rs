@@ -50,7 +50,7 @@ impl Check for HeapLeak {
                     continue;
                 }
                 let set = cx.query.at(stmt);
-                let ls = cx.query.l_locations(fid, &set, lhs);
+                let ls = cx.query.l_locations(fid, set, lhs);
                 // Only strong overwrites lose the old value for sure.
                 if ls.len() != 1
                     || ls[0].1 != pta_core::Def::D
@@ -71,7 +71,7 @@ impl Check for HeapLeak {
                 let kept: Vec<_> = match rhs {
                     Some(op) => cx
                         .query
-                        .operand_r_locations(fid, &set, op)
+                        .operand_r_locations(fid, set, op)
                         .into_iter()
                         .map(|(t, _)| t)
                         .collect(),

@@ -72,7 +72,7 @@ impl Check for IndirectCall {
                 let set = cx.query.at(stmt);
                 let vals = cx
                     .query
-                    .operand_r_locations(fid, &set, &Operand::Ref(fnptr.clone()));
+                    .operand_r_locations(fid, set, &Operand::Ref(fnptr.clone()));
                 if vals.is_empty() {
                     continue; // nothing materialized: dead path
                 }

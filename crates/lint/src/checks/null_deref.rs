@@ -38,7 +38,7 @@ impl Check for NullDeref {
                 continue; // dead code: no facts, nothing to report
             }
             let set = cx.query.at(occ.stmt);
-            let tgts = cx.query.deref_base_targets(occ.func, &set, &occ.r);
+            let tgts = cx.query.deref_base_targets(occ.func, set, &occ.r);
             let any_null = tgts.iter().any(|(t, _)| cx.result.locs.is_null(*t));
             if !any_null {
                 continue;

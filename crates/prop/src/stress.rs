@@ -275,8 +275,8 @@ pub fn demand_divergence(source: &str, deadline_ms: u64) -> Option<String> {
             Err(e) if e.budget_kind().is_some() => continue,
             Err(e) => return Some(format!("demand run failed at `{}`: {e}", f.name)),
         };
-        let want = names(&full, &full.at(stmt));
-        let got = names(&out.result, &out.result.at(stmt));
+        let want = names(&full, full.at(stmt));
+        let got = names(&out.result, out.result.at(stmt));
         if got != want {
             return Some(format!(
                 "facts diverge at `{}` {stmt:?}: demand {got:?} vs exhaustive {want:?}",

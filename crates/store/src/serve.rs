@@ -229,9 +229,9 @@ impl ServeEngine {
 
     /// The points-to set at `stmt`, or the exit set of `main` when the
     /// request names no program point.
-    fn set_at(&self, req: &Json) -> Result<PtSet, String> {
+    fn set_at(&self, req: &Json) -> Result<&PtSet, String> {
         match req.get("stmt") {
-            None | Some(Json::Null) => Ok(self.pta.result.exit_set.clone()),
+            None | Some(Json::Null) => Ok(&self.pta.result.exit_set),
             Some(v) => {
                 let stmt = v.as_u32().ok_or("bad `stmt` parameter")?;
                 if stmt >= self.pta.ir.n_stmts {

@@ -327,3 +327,47 @@ fn summary_recursion_goldens_hold_under_both_engines() {
             .unwrap_or_else(|e| panic!("{name}: invocation-graph engine failed: {e}"));
     }
 }
+
+/// Figure 5's join of the outputs of every function an indirect call
+/// may reach, pinned by goldens on the cases a join can get wrong
+/// unseen: a target that never returns beside targets that return,
+/// every target bottom, an external target, a single target, and a
+/// function reached twice through the pointer's targets. Each
+/// `.expected` file holds the program's `canonical_facts`.
+#[test]
+fn figure5_join_goldens_hold() {
+    let goldens: &[(&str, &str, &str)] = &[
+        (
+            "fig5_noreturn",
+            include_str!("programs/fig5_noreturn.c"),
+            include_str!("programs/fig5_noreturn.expected"),
+        ),
+        (
+            "fig5_all_bottom",
+            include_str!("programs/fig5_all_bottom.c"),
+            include_str!("programs/fig5_all_bottom.expected"),
+        ),
+        (
+            "fig5_extern",
+            include_str!("programs/fig5_extern.c"),
+            include_str!("programs/fig5_extern.expected"),
+        ),
+        (
+            "fig5_one_target",
+            include_str!("programs/fig5_one_target.c"),
+            include_str!("programs/fig5_one_target.expected"),
+        ),
+        (
+            "fig5_twice",
+            include_str!("programs/fig5_twice.c"),
+            include_str!("programs/fig5_twice.expected"),
+        ),
+    ];
+    for (name, src, expected) in goldens {
+        let ir = pta::simple::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let result = pta::core::analyze_with(&ir, pta::core::AnalysisConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let facts = pta_store::canonical_facts(&ir, &result);
+        assert_eq!(&facts, expected, "{name}: facts differ from the golden");
+    }
+}

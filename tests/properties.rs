@@ -129,6 +129,153 @@ fn merged_pair_is_definite_only_if_definite_in_both() {
 }
 
 // ---------------------------------------------------------------------
+// PtSet storage: the run-copying merge, the k-way join, and
+// copy-on-write sharing of spilled arrays
+// ---------------------------------------------------------------------
+
+fn triples(s: &PtSet) -> Vec<(LocId, LocId, Def)> {
+    s.iter().collect()
+}
+
+/// A set with long per-source runs (sources 0..6, targets 0..80), so
+/// merges meet one-sided runs, interleavings and spilled arrays.
+fn arb_wide_ptset(g: &mut Rng) -> PtSet {
+    let mut s = PtSet::new();
+    for _ in 0..g.usize(0..120) {
+        let (a, b) = (g.u32(0..6), g.u32(0..80));
+        s.insert_weak(LocId(a), LocId(b), arb_def(g));
+    }
+    s
+}
+
+/// One random edit through the public mutators, to apply to any set.
+fn arb_edit(g: &mut Rng) -> impl Fn(&mut PtSet) {
+    let (a, b, d) = (LocId(g.u32(0..6)), LocId(g.u32(0..80)), arb_def(g));
+    let kind = g.usize(0..5);
+    move |s: &mut PtSet| match kind {
+        0 => s.insert(a, b, d),
+        1 => s.insert_weak(a, b, d),
+        2 => s.kill_from(a),
+        3 => s.demote_from(a),
+        _ => s.remove(a, b),
+    }
+}
+
+/// A set that shares history with `base`: a clone (so the spilled
+/// array starts shared) with a few edits.
+fn arb_related(g: &mut Rng, base: &PtSet) -> PtSet {
+    let mut s = base.clone();
+    for _ in 0..g.usize(0..4) {
+        arb_edit(g)(&mut s);
+    }
+    s
+}
+
+/// The merge as one element-by-element loop over both sorted triple
+/// lists, without run copying or shortcuts: the reference the packed
+/// merge must reproduce.
+fn reference_merge(a: &PtSet, b: &PtSet) -> Vec<(LocId, LocId, Def)> {
+    let (a, b) = (triples(a), triples(b));
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (ka, kb) = ((a[i].0, a[i].1), (b[j].0, b[j].1));
+        match ka.cmp(&kb) {
+            std::cmp::Ordering::Equal => {
+                out.push((ka.0, ka.1, a[i].2.and(b[j].2)));
+                i += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Less => {
+                out.push((ka.0, ka.1, Def::P));
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push((kb.0, kb.1, Def::P));
+                j += 1;
+            }
+        }
+    }
+    out.extend(a[i..].iter().map(|&(s, t, _)| (s, t, Def::P)));
+    out.extend(b[j..].iter().map(|&(s, t, _)| (s, t, Def::P)));
+    out
+}
+
+#[test]
+fn merge_matches_the_element_by_element_reference() {
+    check("merge = reference loop", 512, |g| {
+        let a = if g.ratio(1, 2) {
+            arb_wide_ptset(g)
+        } else {
+            arb_ptset(g)
+        };
+        let b = match g.usize(0..3) {
+            0 => arb_wide_ptset(g),
+            1 => arb_related(g, &a),
+            _ => arb_ptset(g),
+        };
+        assert_eq!(triples(&a.merge(&b)), reference_merge(&a, &b));
+        assert_eq!(triples(&b.merge(&a)), reference_merge(&b, &a));
+    });
+}
+
+#[test]
+fn merge_all_equals_the_left_fold_of_merge() {
+    check("merge_all = fold of merge", 256, |g| {
+        let base = arb_wide_ptset(g);
+        let mut sets: Vec<PtSet> = Vec::new();
+        for _ in 0..g.usize(0..41) {
+            let s = match g.usize(0..5) {
+                0 => PtSet::new(),
+                1 if !sets.is_empty() => g.pick(&sets).clone(), // a repeat
+                2 => arb_related(g, &base),
+                3 => arb_ptset(g),
+                _ => arb_wide_ptset(g),
+            };
+            sets.push(s);
+        }
+        let fold = sets
+            .iter()
+            .fold(None, |acc, s| merge_flow(acc, Some(s.clone())));
+        let all = PtSet::merge_all(&sets);
+        assert_eq!(all.as_ref().map(triples), fold.as_ref().map(triples));
+        assert_eq!(all.is_none(), sets.is_empty());
+    });
+}
+
+#[test]
+fn merge_with_a_clone_of_itself_is_the_identity() {
+    check("a ⊔ clone(a) = a", 256, |g| {
+        let a = arb_wide_ptset(g);
+        let before = triples(&a);
+        assert_eq!(triples(&a.merge(&a.clone())), before);
+        assert_eq!(a.merge(&a.clone()), a);
+    });
+}
+
+#[test]
+fn edits_of_a_clone_leave_the_original_unchanged() {
+    check("copy-on-write isolation", 512, |g| {
+        let original = arb_wide_ptset(g);
+        let before = triples(&original);
+        let mut copy = original.clone();
+        // The same edits on a set built independently, sharing nothing.
+        let mut fresh: PtSet = before.iter().copied().collect();
+        for _ in 0..g.usize(1..6) {
+            let edit = arb_edit(g);
+            edit(&mut copy);
+            edit(&mut fresh);
+            assert_eq!(triples(&original), before, "the original changed");
+            assert_eq!(
+                triples(&copy),
+                triples(&fresh),
+                "the clone's edit went wrong"
+            );
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
 // Generated straight-line programs: the analysis terminates, maintains
 // Definition 3.1, and is deterministic.
 // ---------------------------------------------------------------------
